@@ -15,11 +15,15 @@ from typing import Union
 from .graph import (
     Graph,
     Matching,
+    all_vertices,
     greedy_maximal_matching,
+    isolated_vertices,
     mask_of,
     matching_is_valid,
+    members,
     max_bipartite_matching,
     min_vertex_cover_bipartite,
+    vertex_mask,
 )
 
 
@@ -39,25 +43,27 @@ class CrownDecomposition:
     witness: tuple[tuple[int, int], ...]  # (head vertex, crown vertex) pairs
 
 
-def check_crown(g: Graph, dec: CrownDecomposition) -> str | None:
-    """Return None if ``dec`` is a valid crown decomposition of ``g``,
-    otherwise a short reason code describing the violated clause."""
+def check_crown(g: Graph, dec: CrownDecomposition, live: int | None = None) -> str | None:
+    """Return None if ``dec`` is a valid crown decomposition of the subgraph
+    of ``g`` induced by ``live`` (default: all of ``g``), otherwise a short
+    reason code describing the violated clause."""
     crown, head, body = dec.crown, dec.head, dec.body
     if not crown:
         return "empty-crown"
     if not head:
         return "empty-head"
-    parts = [crown, head, body]
-    union: set[int] = set()
-    total = 0
-    for part in parts:
-        union |= part
-        total += len(part)
-    if total != len(union) or union != set(range(g.n)):
+    if live is None:
+        live = all_vertices(g)
+    crown_mask, head_mask, body_mask = (vertex_mask(g, part) for part in (crown, head, body))
+    if (
+        crown_mask is None
+        or head_mask is None
+        or body_mask is None
+        or len(crown) + len(head) + len(body) != live.bit_count()
+        or crown_mask | head_mask | body_mask != live
+    ):
         return "not-a-partition"
 
-    crown_mask = mask_of(crown)
-    body_mask = mask_of(body)
     for v in crown:
         if g.adj[v] & crown_mask:
             return "crown-not-independent"
@@ -79,45 +85,53 @@ def verify_crown(g: Graph, dec: CrownDecomposition) -> bool:
     return check_crown(g, dec) is None
 
 
-def find_crown_or_matching(g: Graph, k: int) -> Union[Matching, CrownDecomposition]:
-    """Find either a matching of size exactly ``k`` or a crown decomposition.
+def find_crown_or_matching(
+    g: Graph, k: int, live: int | None = None
+) -> Union[Matching, CrownDecomposition]:
+    """Find either a matching of size exactly ``k`` or a crown decomposition
+    of the subgraph of ``g`` induced by ``live`` (default: all of ``g``).
 
-    Requires k >= 1, at least 3k-2 vertices, and no isolated vertices.
+    Requires k >= 1, at least 3k-2 live vertices, and no isolated vertices.
     Construction: take a greedy maximal matching M; if it has k edges we are
     done.  Otherwise the unmatched vertices I form an independent set of size
     at least k.  A maximum bipartite matching between V(M) and I either has
     size k (done) or yields a Koenig cover X with |X| <= k-1 < |I|, from which
     H = X & V(M), C = I \\ X, R = the rest is a valid crown whose witness is
-    the bipartite matching restricted to H.
+    the bipartite matching restricted to H.  Vertex ids are those of ``g``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if g.n < 3 * k - 2:
-        raise ValueError(f"graph has {g.n} < 3k-2 = {3 * k - 2} vertices")
-    if any(g.adj[v] == 0 for v in range(g.n)):
+    if live is None:
+        live = all_vertices(g)
+    n = live.bit_count()
+    if n < 3 * k - 2:
+        raise ValueError(f"graph has {n} < 3k-2 = {3 * k - 2} vertices")
+    if isolated_vertices(g, live):
         raise ValueError("graph has isolated vertices")
 
-    maximal = greedy_maximal_matching(g)
+    maximal = greedy_maximal_matching(g, live)
     if len(maximal) >= k:
         return maximal[:k]
 
     saturated = {v for e in maximal for v in e}
-    independent = [v for v in range(g.n) if v not in saturated]
+    independent_mask = live & ~mask_of(saturated)
+    independent = members(independent_mask)
     cross = max_bipartite_matching(g, saturated, independent)
     if len(cross) >= k:
         return cross[:k]
 
     cover = min_vertex_cover_bipartite(g, saturated, independent, cross)
     head = frozenset(cover & saturated)
-    crown = frozenset(set(independent) - cover)
+    crown_mask = independent_mask & ~mask_of(cover)
+    crown = frozenset(members(crown_mask))
     if not head or not crown:
         raise CrownConstructionError(
-            f"degenerate crown (|H|={len(head)}, |C|={len(crown)}) on n={g.n}, k={k}"
+            f"degenerate crown (|H|={len(head)}, |C|={len(crown)}) on n={n}, k={k}"
         )
-    body = frozenset(set(range(g.n)) - head - crown)
+    body = frozenset(members(live & ~mask_of(head) & ~crown_mask))
     witness = tuple(sorted((a, b) for a, b in cross if a in head))
     dec = CrownDecomposition(crown=crown, head=head, body=body, witness=witness)
-    reason = check_crown(g, dec)
+    reason = check_crown(g, dec, live)
     if reason is not None:
         raise CrownConstructionError(f"constructed crown failed verification: {reason}")
     return dec

@@ -44,7 +44,7 @@ class Caps:
     confusion: int = 2**20  # max vertex count of a constructed confusion graph
     alpha: int = 4096  # max vertex count for independence_number
     chi: int = 512  # max vertex count for chromatic_number / colorability
-    minrank: int = 2**40  # max nominal search space p**(2m) for minrank
+    minrank: int = 2**40  # max nominal search space (p-1)**n * p**(2m) for minrank
 
 
 DEFAULT_CAPS = Caps()
@@ -130,7 +130,7 @@ def build_confusion_graph(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> Confus
                 if other:
                     for v in bits(m):
                         adj[v] |= other
-    return ConfusionGraph(base=g, q=q, graph=Graph(size, tuple(adj)))
+    return ConfusionGraph(base=g, q=q, graph=Graph._trusted(size, tuple(adj)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ class FormatError(ValueError):
 
 
 def parse_dimacs(text: str) -> Graph:
+    """Parse DIMACS edge format in one pass; every edge is checked as it is
+    read, so the adjacency is valid by construction."""
     n = None
-    edges: list[Edge] = []
+    adj: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -43,6 +45,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: bad problem line") from exc
             if n < 0:
                 raise FormatError(f"line {lineno}: negative vertex count")
+            adj = [0] * n
         elif fields[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before problem line")
@@ -54,12 +57,13 @@ def parse_dimacs(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: bad edge line") from exc
             if not (1 <= u <= n and 1 <= v <= n) or u == v:
                 raise FormatError(f"line {lineno}: edge ({u}, {v}) out of range")
-            edges.append((u - 1, v - 1))
+            adj[u - 1] |= 1 << (v - 1)  # duplicates collapse in the bitmask
+            adj[v - 1] |= 1 << (u - 1)
         else:
             raise FormatError(f"line {lineno}: unknown record {fields[0]!r}")
     if n is None:
         raise FormatError("missing 'p edge' line")
-    return Graph.from_edges(n, edges)  # duplicates collapse in the bitmask
+    return Graph._trusted(n, tuple(adj))
 
 
 def write_dimacs(g: Graph) -> str:

@@ -73,11 +73,12 @@ def gen_crown_planted(
     crown = list(range(c_size))
     head = list(range(c_size, c_size + h_size))
     body = list(range(c_size + h_size, c_size + h_size + r_size))
-    edges: list[Edge] = [(head[i], crown[i]) for i in range(h_size)]
     witness = tuple((head[i], crown[i]) for i in range(h_size))
+    edges: list[Edge] = list(witness)
+    planted = set(witness)
     for h in head:
         for c in crown:
-            if (h, c) not in edges and rng.random() < extra_prob:
+            if (h, c) not in planted and rng.random() < extra_prob:
                 edges.append((h, c))
         for r in body:
             if rng.random() < extra_prob:

@@ -10,7 +10,8 @@ lowest-id-first so every routine here is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Collection, Iterable, Iterator
 
 Edge = tuple[int, int]
 Matching = list[Edge]
@@ -29,6 +30,24 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def members(mask: int) -> list[int]:
+    """The set bit positions of ``mask`` in ascending order.
+
+    Scans the binary string once, so the cost is linear in the mask's length
+    plus its population; ``bits`` peels one bit at a time and is quadratic
+    on large dense masks such as the live vertex set of a big graph.
+    """
+    if not mask & (mask + 1):  # all of 0 .. bit_length - 1
+        return list(range(mask.bit_length()))
+    digits = bin(mask)[:1:-1]
+    out = []
+    pos = digits.find("1")
+    while pos >= 0:
+        out.append(pos)
+        pos = digits.find("1", pos + 1)
+    return out
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -41,8 +60,10 @@ class Graph:
     """Undirected simple graph on the vertex set {0, ..., n-1}.
 
     ``adj[v]`` is the neighbor set of ``v`` as a bitmask.  Instances are
-    immutable and validated on construction: adjacency must be symmetric,
-    loop-free, and confined to [0, n).
+    immutable.  ``Graph(n, adj)`` validates its input: adjacency must be
+    symmetric, loop-free, and confined to [0, n).  Graphs the library derives
+    from a valid graph, or builds edge by edge, are valid by construction and
+    skip that O(m) check through ``_trusted``.
     """
 
     n: int
@@ -65,7 +86,17 @@ class Graph:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """Build a graph without validation; ``adj`` must already be valid."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
+        if n < 0:
+            raise GraphError("negative vertex count")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -74,12 +105,12 @@ class Graph:
                 raise GraphError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj))
+        return cls._trusted(n, tuple(adj))
 
-    @property
+    @cached_property
     def m(self) -> int:
         """Number of edges."""
-        return sum(mask.bit_count() for mask in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def neighbors(self, v: int) -> list[int]:
         return list(bits(self.adj[v]))
@@ -101,7 +132,7 @@ class Graph:
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         adj = tuple((full & ~mask) & ~(1 << v) for v, mask in enumerate(self.adj))
-        return Graph(self.n, adj)
+        return Graph._trusted(self.n, adj)
 
 
 K0 = Graph(0, ())
@@ -110,39 +141,66 @@ K0 = Graph(0, ())
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced by ``vertices`` plus the old-id -> new-id bijection.
 
-    New ids follow the ascending order of the old ids.
+    New ids follow the ascending order of the old ids.  The cost follows the
+    edges kept, not the degrees of the kept vertices.
     """
     keep = sorted(set(vertices))
     for v in keep:
         if not 0 <= v < g.n:
             raise GraphError(f"vertex {v} out of range for n={g.n}")
     mapping = {old: new for new, old in enumerate(keep)}
+    keep_mask = mask_of(keep)
     adj = []
     for old in keep:
         mask = 0
-        for u in bits(g.adj[old]):
-            if u in mapping:
-                mask |= 1 << mapping[u]
+        for u in bits(g.adj[old] & keep_mask):
+            mask |= 1 << mapping[u]
         adj.append(mask)
-    return Graph(len(keep), tuple(adj)), mapping
+    return Graph._trusted(len(keep), tuple(adj)), mapping
 
 
-def isolated_vertices(g: Graph) -> set[int]:
-    return {v for v in range(g.n) if g.adj[v] == 0}
+def all_vertices(g: Graph) -> int:
+    """The mask of every vertex of ``g``."""
+    return (1 << g.n) - 1
 
 
-def greedy_maximal_matching(g: Graph) -> Matching:
-    """Maximal matching obtained by scanning edges in ascending (u, v) order."""
-    matched = 0
+def vertex_mask(g: Graph, vertices: Collection[int]) -> int | None:
+    """The mask of ``vertices`` if each is a vertex id of ``g``, else None.
+
+    Ids from outside the library are checked against [0, n) before any
+    ``1 << v``, which raises on a negative id and allocates without bound on
+    a huge one.
+    """
+    try:
+        if vertices and (min(vertices) < 0 or max(vertices) >= g.n):
+            return None
+        return mask_of(vertices)
+    except TypeError:  # a non-integer id
+        return None
+
+
+def isolated_vertices(g: Graph, live: int | None = None) -> set[int]:
+    """Vertices of ``live`` (default: all) with no neighbor in ``live``."""
+    if live is None or live == all_vertices(g):
+        return {v for v in range(g.n) if g.adj[v] == 0}
+    return {v for v in members(live) if not g.adj[v] & live}
+
+
+def greedy_maximal_matching(g: Graph, live: int | None = None) -> Matching:
+    """Maximal matching of the subgraph induced by ``live`` (default: all),
+    obtained by scanning edges in ascending (u, v) order."""
+    if live is None:
+        live = all_vertices(g)
+    unmatched = live
     out: Matching = []
-    for u in range(g.n):
-        if (matched >> u) & 1:
+    for u in members(live):
+        if not (unmatched >> u) & 1:
             continue
-        free = g.adj[u] & ~matched & ~((1 << (u + 1)) - 1)
+        free = (g.adj[u] & unmatched) >> (u + 1)  # unmatched neighbors above u
         if free:
-            v = (free & -free).bit_length() - 1
+            v = u + (free & -free).bit_length()
             out.append((u, v))
-            matched |= (1 << u) | (1 << v)
+            unmatched &= ~(1 << v)
     return out
 
 
@@ -150,8 +208,10 @@ def max_bipartite_matching(g: Graph, side_a: Iterable[int], side_b: Iterable[int
     """Maximum matching between ``side_a`` and ``side_b``.
 
     Only edges with one endpoint in each side are considered.  Uses repeated
-    augmenting-path search, scanning both sides lowest-id-first.  Returned
-    edges are (a, b) pairs with a on the A side.
+    augmenting-path search, scanning both sides lowest-id-first.  The search
+    is a depth-first walk on an explicit stack, so long alternating paths
+    cannot exhaust the interpreter's recursion limit.  Returned edges are
+    (a, b) pairs with a on the A side.
     """
     a_list = sorted(set(side_a))
     b_set = frozenset(side_b)
@@ -160,19 +220,33 @@ def max_bipartite_matching(g: Graph, side_a: Iterable[int], side_b: Iterable[int
     b_mask = mask_of(b_set)
     match_of: dict[int, int] = {}
 
-    def augment(a: int, visited: set[int]) -> bool:
-        for b in bits(g.adj[a] & b_mask):
-            if b in visited:
-                continue
-            visited.add(b)
-            if b not in match_of or augment(match_of[b], visited):
-                match_of[b] = a
-                match_of[a] = b
-                return True
-        return False
+    def augment(root: int) -> None:
+        visited: set[int] = set()
+        # stack[i] is an A vertex of the alternating path with the iterator
+        # over its untried B neighbors; path[i] is the B vertex it tries.
+        stack = [(root, bits(g.adj[root] & b_mask))]
+        path: list[int] = []
+        while stack:
+            for b in stack[-1][1]:
+                if b in visited:
+                    continue
+                visited.add(b)
+                path.append(b)
+                if b not in match_of:
+                    for (a_i, _), b_i in zip(stack, path):
+                        match_of[b_i] = a_i
+                        match_of[a_i] = b_i
+                    return
+                partner = match_of[b]
+                stack.append((partner, bits(g.adj[partner] & b_mask)))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
 
     for a in a_list:
-        augment(a, set())
+        augment(a)
     return [(a, match_of[a]) for a in a_list if a in match_of]
 
 

@@ -18,7 +18,17 @@ from dataclasses import dataclass
 from typing import Literal, Union
 
 from .crown import CrownDecomposition, find_crown_or_matching, verify_crown
-from .graph import Graph, K0, induced_subgraph, isolated_vertices, max_bipartite_matching
+from .graph import (
+    Graph,
+    K0,
+    all_vertices,
+    induced_subgraph,
+    isolated_vertices,
+    mask_of,
+    max_bipartite_matching,
+    members,
+    vertex_mask,
+)
 
 Problem = Literal["capacity", "index_coding", "minrank"]
 
@@ -81,54 +91,60 @@ def apply_crown_rule(g: Graph, dec: CrownDecomposition, k: int) -> tuple[Graph, 
     return reduced, k - len(dec.head)
 
 
+def crown_step(dec: CrownDecomposition) -> CrownReduction:
+    """The trace step recording crown decomposition ``dec``."""
+    return CrownReduction(
+        crown=tuple(sorted(dec.crown)),
+        head=tuple(sorted(dec.head)),
+        body=tuple(sorted(dec.body)),
+    )
+
+
+def live_subgraph(g: Graph, live: int) -> Graph:
+    """``g`` restricted to the vertex mask ``live``; ``g`` itself if all live."""
+    if live == all_vertices(g):
+        return g
+    return induced_subgraph(g, members(live))[0]
+
+
 def kernelize(g: Graph, k: int, q: int | None = None) -> tuple[Graph, int, ReductionTrace]:
     """Reduce (G, k) to an equivalent instance with at most max(3k'-3, 0) vertices.
 
     The loop follows the fixed step order: k-test, isolated removal, crown
-    call, repeat.  A matching of size k short-circuits to the fixed YES
-    instance (K0, 0), flagged on the trace so value lifting can refuse it.
+    call, repeat.  It runs on a mask of the vertices still live in ``g``, so
+    every step is recorded in input coordinates and only the kernel graph is
+    built.  A matching of size k short-circuits to the fixed YES instance
+    (K0, 0), flagged on the trace so value lifting can refuse it.
     """
     steps: list[ReductionStep] = []
     capacity_offset = 0
     dual_offset = 0
     short_circuit = False
-    cur = g
-    to_input = list(range(g.n))
+    live = all_vertices(g)
     kk = k
 
-    while True:
-        if kk <= 0:
-            cur, kk = K0, 0
-            break
-        removed = isolated_vertices(cur)
+    while kk > 0:
+        removed = isolated_vertices(g, live)
         if removed:
-            steps.append(IsolatedRemoval(tuple(sorted(to_input[v] for v in removed))))
+            steps.append(IsolatedRemoval(tuple(sorted(removed))))
             dual_offset += len(removed)
-            keep = [v for v in range(cur.n) if v not in removed]
-            cur, mapping = induced_subgraph(cur, keep)
-            to_input = [to_input[old] for old in keep]
-        if cur.n >= 3 * kk - 2:
-            result = find_crown_or_matching(cur, kk)
-            if isinstance(result, CrownDecomposition):
-                steps.append(
-                    CrownReduction(
-                        crown=tuple(sorted(to_input[v] for v in result.crown)),
-                        head=tuple(sorted(to_input[v] for v in result.head)),
-                        body=tuple(sorted(to_input[v] for v in result.body)),
-                    )
-                )
-                capacity_offset += len(result.head)
-                dual_offset += len(result.crown)
-                keep = sorted(result.body)
-                cur, mapping = induced_subgraph(cur, keep)
-                to_input = [to_input[old] for old in keep]
-                kk -= len(result.head)
-                continue
-            short_circuit = True
-            cur, kk = K0, 0
+            live &= ~mask_of(removed)
+        if live.bit_count() < 3 * kk - 2:
             break
-        break
+        result = find_crown_or_matching(g, kk, live)
+        if not isinstance(result, CrownDecomposition):
+            short_circuit = True
+            break
+        steps.append(crown_step(result))
+        capacity_offset += len(result.head)
+        dual_offset += len(result.crown)
+        live = mask_of(result.body)
+        kk -= len(result.head)
 
+    if kk <= 0 or short_circuit:
+        kernel, kk = K0, 0
+    else:
+        kernel = live_subgraph(g, live)
     trace = ReductionTrace(
         input_n=g.n,
         input_m=g.m,
@@ -136,12 +152,12 @@ def kernelize(g: Graph, k: int, q: int | None = None) -> tuple[Graph, int, Reduc
         q=q,
         steps=tuple(steps),
         short_circuit=short_circuit,
-        kernel_n=cur.n,
+        kernel_n=kernel.n,
         kernel_k=kk,
         capacity_offset=capacity_offset,
         dual_offset=dual_offset,
     )
-    return cur, kk, trace
+    return kernel, kk, trace
 
 
 def lift_value(trace: ReductionTrace, kernel_value: int, problem: Problem) -> int:
@@ -164,24 +180,27 @@ def lift_value(trace: ReductionTrace, kernel_value: int, problem: Problem) -> in
     raise ValueError(f"unknown problem {problem!r}")
 
 
+def _step_mask(g: Graph, vertices: tuple[int, ...], live: int) -> int | None:
+    """The mask of ``vertices`` if each is a live vertex of ``g``, else None."""
+    mask = vertex_mask(g, vertices)
+    return None if mask is None or mask & ~live else mask
+
+
 def replay_trace(g: Graph, trace: ReductionTrace) -> Graph:
     """Re-apply the recorded steps to ``g`` and return the resulting graph.
 
     For non-short-circuit traces this reproduces the kernel graph exactly.
     """
-    cur = g
-    to_input = list(range(g.n))
+    live = all_vertices(g)
     for step in trace.steps:
         if isinstance(step, IsolatedRemoval):
-            removed = set(step.vertices)
+            removed = _step_mask(g, step.vertices, live)
         else:
-            removed = set(step.crown) | set(step.head)
-        keep = [v for v in range(cur.n) if to_input[v] not in removed]
-        if len(keep) != cur.n - len(removed):
+            removed = _step_mask(g, step.crown + step.head, live)
+        if removed is None:
             raise ValueError("trace step removes vertices not present in the graph")
-        cur, _ = induced_subgraph(cur, keep)
-        to_input = [to_input[old] for old in keep]
-    return cur
+        live &= ~removed
+    return live_subgraph(g, live)
 
 
 def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
@@ -189,49 +208,48 @@ def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
 
     Validates step applicability (removed vertices isolated, crown clauses
     hold with a full H-into-C matching), the recorded offsets, and the kernel
-    size/parameter bookkeeping.
+    size/parameter bookkeeping.  The steps are checked on a mask of the
+    vertices still live in ``g``; no intermediate graph is built.
     """
     if trace.input_n != g.n:
         return "input-n-mismatch"
     if trace.input_m != g.m:
         return "input-m-mismatch"
-    cur = g
-    to_input = list(range(g.n))
+    live = all_vertices(g)
     capacity_offset = 0
     dual_offset = 0
     for step in trace.steps:
-        position = {inp: local for local, inp in enumerate(to_input)}
         if isinstance(step, IsolatedRemoval):
-            locals_ = [position.get(v) for v in step.vertices]
-            if any(v is None for v in locals_):
+            removed = _step_mask(g, step.vertices, live)
+            if removed is None:
                 return "isolated-step-unknown-vertex"
-            if any(cur.adj[v] != 0 for v in locals_):
+            if removed.bit_count() != len(step.vertices):
+                return "isolated-step-duplicate-vertex"
+            if any(g.adj[v] & live for v in step.vertices):
                 return "isolated-step-vertex-not-isolated"
             dual_offset += len(step.vertices)
-            removed = set(step.vertices)
         else:
-            try:
-                crown = {position[v] for v in step.crown}
-                head = {position[v] for v in step.head}
-                body = {position[v] for v in step.body}
-            except KeyError:
+            masks = [_step_mask(g, part, live) for part in (step.crown, step.head, step.body)]
+            if None in masks:
                 return "crown-step-unknown-vertex"
-            if crown | head | body != set(range(cur.n)) or not crown or not head:
+            crown, head, body = masks
+            if (
+                not crown
+                or not head
+                or crown | head | body != live
+                or crown.bit_count() + head.bit_count() + body.bit_count() != live.bit_count()
+            ):
                 return "crown-step-not-a-partition"
-            crown_mask = sum(1 << v for v in crown)
-            body_mask = sum(1 << v for v in body)
-            for v in crown:
-                if cur.adj[v] & (crown_mask | body_mask):
-                    return "crown-step-separation-violated"
-            matching = max_bipartite_matching(cur, head, crown)
-            if len(matching) != len(head):
+            outside_head = crown | body
+            if any(g.adj[v] & outside_head for v in step.crown):
+                return "crown-step-separation-violated"
+            matching = max_bipartite_matching(g, step.head, step.crown)
+            if len(matching) != head.bit_count():
                 return "crown-step-no-head-matching"
-            capacity_offset += len(head)
-            dual_offset += len(crown)
-            removed = set(step.crown) | set(step.head)
-        keep = [v for v in range(cur.n) if to_input[v] not in removed]
-        cur, _ = induced_subgraph(cur, keep)
-        to_input = [to_input[old] for old in keep]
+            capacity_offset += head.bit_count()
+            dual_offset += crown.bit_count()
+            removed = crown | head
+        live &= ~removed
     if capacity_offset != trace.capacity_offset:
         return "capacity-offset-mismatch"
     if dual_offset != trace.dual_offset:
@@ -240,8 +258,9 @@ def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
         if trace.kernel_n != 0 or trace.kernel_k != 0:
             return "short-circuit-kernel-not-sentinel"
         return None
-    if trace.kernel_n not in (cur.n, 0):
+    live_n = live.bit_count()
+    if trace.kernel_n not in (live_n, 0):
         return "kernel-n-mismatch"
-    if trace.kernel_n == 0 and cur.n != 0 and trace.kernel_k != 0:
+    if trace.kernel_n == 0 and live_n != 0 and trace.kernel_k != 0:
         return "kernel-n-mismatch"
     return None

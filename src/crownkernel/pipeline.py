@@ -22,17 +22,18 @@ from .exact import (
     minrank,
     storage_capacity_alpha,
 )
-from .graph import Graph, induced_subgraph, isolated_vertices
+from .graph import Graph, all_vertices, isolated_vertices, mask_of
 from .kernel import (
     CAPACITY,
-    CrownReduction,
     INDEX_CODING,
     IsolatedRemoval,
     MINRANK,
     ReductionStep,
     ReductionTrace,
+    crown_step,
     kernelize,
     lift_value,
+    live_subgraph,
 )
 
 
@@ -135,38 +136,29 @@ def decide_dual_minrank(
 def _value_mode_reduce(g: Graph, q: int) -> tuple[Graph, ReductionTrace]:
     """Reduction loop for value mode: isolated removals always; crown attempts
     with the largest k satisfying n >= 3k-2; stops when a matching comes back
-    (only the equality rules may feed the value ledger)."""
+    (only the equality rules may feed the value ledger).  Like ``kernelize``
+    it runs on a mask of the live vertices of ``g`` and builds only the
+    residual graph."""
     steps: list[ReductionStep] = []
     capacity_offset = 0
     dual_offset = 0
-    cur = g
-    to_input = list(range(g.n))
+    live = all_vertices(g)
     while True:
-        removed = isolated_vertices(cur)
+        removed = isolated_vertices(g, live)
         if removed:
-            steps.append(IsolatedRemoval(tuple(sorted(to_input[v] for v in removed))))
+            steps.append(IsolatedRemoval(tuple(sorted(removed))))
             dual_offset += len(removed)
-            keep = [v for v in range(cur.n) if v not in removed]
-            cur, _ = induced_subgraph(cur, keep)
-            to_input = [to_input[old] for old in keep]
-        if cur.n == 0:
+            live &= ~mask_of(removed)
+        if not live:
             break
-        k_eff = (cur.n + 2) // 3
-        result = find_crown_or_matching(cur, k_eff)
+        result = find_crown_or_matching(g, (live.bit_count() + 2) // 3, live)
         if not isinstance(result, CrownDecomposition):
             break
-        steps.append(
-            CrownReduction(
-                crown=tuple(sorted(to_input[v] for v in result.crown)),
-                head=tuple(sorted(to_input[v] for v in result.head)),
-                body=tuple(sorted(to_input[v] for v in result.body)),
-            )
-        )
+        steps.append(crown_step(result))
         capacity_offset += len(result.head)
         dual_offset += len(result.crown)
-        keep = sorted(result.body)
-        cur, _ = induced_subgraph(cur, keep)
-        to_input = [to_input[old] for old in keep]
+        live = mask_of(result.body)
+    residual = live_subgraph(g, live)
     trace = ReductionTrace(
         input_n=g.n,
         input_m=g.m,
@@ -174,12 +166,12 @@ def _value_mode_reduce(g: Graph, q: int) -> tuple[Graph, ReductionTrace]:
         q=q,
         steps=tuple(steps),
         short_circuit=False,
-        kernel_n=cur.n,
+        kernel_n=residual.n,
         kernel_k=0,
         capacity_offset=capacity_offset,
         dual_offset=dual_offset,
     )
-    return cur, trace
+    return residual, trace
 
 
 def compute_values(g: Graph, q: int = 2, p: int = 2, caps: Caps = DEFAULT_CAPS) -> ValueReport:

@@ -13,7 +13,7 @@ from crownkernel import (
     verify_crown,
 )
 from crownkernel.crown import check_crown
-from crownkernel.graph import matching_is_valid
+from crownkernel.graph import mask_of, matching_is_valid
 
 from conftest import complete, random_graph, star
 
@@ -58,6 +58,19 @@ class TestVerifyCrown:
     def test_rejects_short_witness(self):
         g = star(4)
         assert check_crown(g, crown({1, 2, 3}, {0}, set(), [])) == "witness-size"
+
+    def test_rejects_negative_or_non_integer_ids(self):
+        g = star(4)
+        assert check_crown(g, crown({1, 2, 3, -1}, {0}, set(), [(0, 1)])) == "not-a-partition"
+        assert check_crown(g, crown({1, 2, "3"}, {0}, set(), [(0, 1)])) == "not-a-partition"
+
+    def test_live_mask(self):
+        # Star 0-{1, 2, 3} with leaf 3 dead: ({1, 2}, {0}, {}) is a crown of
+        # the live graph but not of the whole star.
+        g = star(4)
+        dec = crown({1, 2}, {0}, set(), [(0, 1)])
+        assert check_crown(g, dec, live=0b0111) is None
+        assert check_crown(g, dec) == "not-a-partition"
 
     def test_rejects_empty_crown_or_head(self):
         g = star(4)
@@ -119,3 +132,30 @@ class TestFindCrownOrMatching:
                 else:
                     assert len(result) == k
                     assert matching_is_valid(g, result)
+
+    def test_live_mask_matches_induced_subgraph(self):
+        # On a live mask the routine makes the same choices as on the induced
+        # subgraph, with every vertex in input coordinates.
+        rng = random.Random(7)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(2, 40), rng.choice([0.05, 0.1, 0.2, 0.4]))
+            keep = [v for v in range(g.n) if rng.random() < 0.7]
+            sub, _ = induced_subgraph(g, keep)
+            live_keep = [keep[v] for v in range(sub.n) if sub.adj[v]]
+            sub, _ = induced_subgraph(g, live_keep)
+            if sub.n == 0:
+                continue
+            for k in range(1, (sub.n + 2) // 3 + 1):
+                expected = find_crown_or_matching(sub, k)
+                result = find_crown_or_matching(g, k, mask_of(live_keep))
+                if isinstance(expected, CrownDecomposition):
+                    back = {v: live_keep[v] for v in range(sub.n)}
+                    assert result == CrownDecomposition(
+                        crown=frozenset(back[v] for v in expected.crown),
+                        head=frozenset(back[v] for v in expected.head),
+                        body=frozenset(back[v] for v in expected.body),
+                        witness=tuple((back[a], back[b]) for a, b in expected.witness),
+                    )
+                    assert check_crown(g, result, mask_of(live_keep)) is None
+                else:
+                    assert result == [(live_keep[u], live_keep[v]) for u, v in expected]

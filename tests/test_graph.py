@@ -14,7 +14,16 @@ from crownkernel import (
     max_bipartite_matching,
     min_vertex_cover_bipartite,
 )
-from crownkernel.graph import clique_cover_is_valid, matching_is_valid, bits
+from crownkernel.exact import build_confusion_graph
+from crownkernel.formats import parse_dimacs, write_dimacs
+from crownkernel.graph import (
+    all_vertices,
+    bits,
+    clique_cover_is_valid,
+    mask_of,
+    matching_is_valid,
+    members,
+)
 
 from conftest import complete, empty, path, random_graph, star
 
@@ -53,6 +62,29 @@ class TestGraphType:
     def test_complement_involution(self, g):
         assert g.complement().complement() == g
 
+    def test_from_edges_rejects_negative_n(self):
+        with pytest.raises(GraphError, match="negative vertex count"):
+            Graph.from_edges(-1, [])
+
+    @given(graphs(max_n=6), st.sets(st.integers(min_value=0, max_value=5)))
+    def test_derived_graphs_pass_full_validation(self, g, selection):
+        # Derived graphs skip validation; the public constructor must accept
+        # every one of them and rebuild an equal graph.
+        sub, _ = induced_subgraph(g, {v for v in selection if v < g.n})
+        derived = [
+            Graph.from_edges(g.n, g.edges()),
+            sub,
+            g.complement(),
+            parse_dimacs(write_dimacs(g)),
+            build_confusion_graph(sub, 2).graph,
+        ]
+        if g.n <= 3:
+            derived.append(build_confusion_graph(g, 3).graph)
+        for d in derived:
+            rebuilt = Graph(d.n, d.adj)
+            assert rebuilt == d
+            assert rebuilt.m == d.m == sum(map(int.bit_count, d.adj)) // 2
+
 
 class TestInducedSubgraph:
     def test_clique_restriction(self):
@@ -88,6 +120,12 @@ class TestIsolatedVertices:
     def test_k0(self):
         assert isolated_vertices(K0) == set()
 
+    def test_live_mask(self):
+        # 0-1-2 path: with 1 dead, both ends are isolated in the live graph.
+        g = path(3)
+        assert isolated_vertices(g, 0b101) == {0, 2}
+        assert isolated_vertices(g, all_vertices(g)) == set()
+
     def test_single_edge_plus_vertex(self):
         assert isolated_vertices(Graph.from_edges(3, [(0, 1)])) == {2}
 
@@ -104,6 +142,15 @@ class TestGreedyMaximalMatching:
 
     def test_k0(self):
         assert greedy_maximal_matching(K0) == []
+
+    def test_live_mask_matches_induced_subgraph(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(0, 20), rng.random())
+            keep = sorted(v for v in range(g.n) if rng.random() < 0.6)
+            sub, _ = induced_subgraph(g, keep)
+            expected = [(keep[u], keep[v]) for u, v in greedy_maximal_matching(sub)]
+            assert greedy_maximal_matching(g, mask_of(keep)) == expected
 
     def test_maximality_random(self):
         rng = random.Random(1)
@@ -131,6 +178,45 @@ class TestBipartiteMatching:
     def test_overlapping_sides_rejected(self):
         with pytest.raises(GraphError):
             max_bipartite_matching(path(3), {0, 1}, {1, 2})
+
+    def test_long_alternating_path_does_not_recurse(self):
+        # On a 3002-vertex path with A the even vertices, each new A vertex
+        # first tries the B vertex matched just before it, so the augmenting
+        # search walks back along the whole path.  A recursive search raised
+        # RecursionError here.
+        g = path(3002)
+        side_a = range(3000, -1, -2)
+        matching = max_bipartite_matching(g, side_a, range(1, 3002, 2))
+        assert matching == [(a, a + 1) for a in range(0, 3002, 2)]
+
+    @given(graphs(max_n=10), st.sets(st.integers(min_value=0, max_value=9)))
+    def test_same_matching_as_recursive_search(self, g, side_a):
+        side_a = {v for v in side_a if v < g.n}
+        side_b = set(range(g.n)) - side_a
+        assert max_bipartite_matching(g, side_a, side_b) == recursive_matching(
+            g, side_a, side_b
+        )
+
+
+def recursive_matching(g, side_a, side_b):
+    """Kuhn's algorithm in its textbook recursive form, lowest id first."""
+    b_mask = mask_of(side_b)
+    match_of = {}
+
+    def augment(a, visited):
+        for b in bits(g.adj[a] & b_mask):
+            if b in visited:
+                continue
+            visited.add(b)
+            if b not in match_of or augment(match_of[b], visited):
+                match_of[b] = a
+                match_of[a] = b
+                return True
+        return False
+
+    for a in sorted(side_a):
+        augment(a, set())
+    return [(a, match_of[a]) for a in sorted(side_a) if a in match_of]
 
 
 class TestKoenigCover:
@@ -188,3 +274,14 @@ class TestGreedyCliqueCover:
 
 def test_bits_ascending():
     assert list(bits(0b101001)) == [0, 3, 5]
+
+
+@given(st.sets(st.integers(min_value=0, max_value=3000)))
+def test_members_matches_bits(vertices):
+    mask = mask_of(vertices)
+    assert members(mask) == list(bits(mask)) == sorted(vertices)
+
+
+def test_members_of_full_mask():
+    assert members((1 << 5000) - 1) == list(range(5000))
+    assert members(0) == []

@@ -24,7 +24,7 @@ from crownkernel.exact import (
     storage_capacity_alpha,
 )
 from crownkernel.generators import gen_crown_planted
-from crownkernel.kernel import CrownReduction, IsolatedRemoval
+from crownkernel.kernel import CrownReduction, IsolatedRemoval, ReductionTrace
 
 from conftest import all_labeled_graphs, complete, empty, random_graph, star
 
@@ -222,3 +222,60 @@ def test_verify_trace_detects_tampering():
     assert verify_trace(g, bad) is not None
     bad_offsets = dataclasses.replace(trace, dual_offset=trace.dual_offset + 1)
     assert verify_trace(g, bad_offsets) is not None
+
+
+class TestVerifyTraceMalformedSteps:
+    def _trace(self, g, steps, capacity=0, dual=0):
+        return ReductionTrace(
+            input_n=g.n, input_m=g.m, input_k=1, q=2, steps=tuple(steps),
+            short_circuit=False, kernel_n=0, kernel_k=0,
+            capacity_offset=capacity, dual_offset=dual,
+        )
+
+    def test_overlapping_crown_step_is_not_a_partition(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        step = CrownReduction(crown=(0,), head=(0, 1), body=())
+        assert verify_trace(g, self._trace(g, [step], 2, 1)) == "crown-step-not-a-partition"
+
+    @pytest.mark.parametrize("bad", [-1, 2, 10**30, "0"])
+    def test_unknown_vertex_ids(self, bad):
+        g = Graph.from_edges(2, [(0, 1)])
+        crown = CrownReduction(crown=(bad,), head=(0,), body=(1,))
+        assert verify_trace(g, self._trace(g, [crown], 1, 1)) == "crown-step-unknown-vertex"
+        isolated = IsolatedRemoval((bad,))
+        assert verify_trace(g, self._trace(g, [isolated], 0, 1)) == "isolated-step-unknown-vertex"
+        with pytest.raises(ValueError):
+            replay_trace(g, self._trace(g, [isolated]))
+
+    def test_removed_vertex_is_unknown_to_later_steps(self):
+        g = empty(2)
+        steps = [IsolatedRemoval((0, 1)), IsolatedRemoval((1,))]
+        assert verify_trace(g, self._trace(g, steps, 0, 3)) == "isolated-step-unknown-vertex"
+
+    def test_duplicate_isolated_vertex_cannot_inflate_the_dual_offset(self):
+        g = empty(2)
+        steps = [IsolatedRemoval((0, 0, 1))]
+        assert verify_trace(g, self._trace(g, steps, 0, 3)) == "isolated-step-duplicate-vertex"
+
+
+class TestLiveMaskReduction:
+    def test_unreduced_kernel_is_the_input_graph(self):
+        g = complete(4)
+        kernel, kk, trace = kernelize(g, 3)
+        assert trace.steps == () and not trace.short_circuit
+        assert kernel is g and kk == 3
+
+    def test_kernel_ids_follow_input_order(self):
+        # Star 0-{1..5} plus a disjoint 4-clique on 6..9: the crown step
+        # removes the center and leaves 2..5, leaf 1 is then isolated, and
+        # the kernel is the clique relabelled 0..3.
+        edges = [(0, v) for v in range(1, 6)]
+        edges += [(u, v) for u in range(6, 10) for v in range(u + 1, 10)]
+        g = Graph.from_edges(10, edges)
+        kernel, kk, trace = kernelize(g, 4)
+        assert trace.steps == (
+            CrownReduction(crown=(2, 3, 4, 5), head=(0,), body=(1, 6, 7, 8, 9)),
+            IsolatedRemoval((1,)),
+        )
+        assert kernel == complete(4) and kk == 3
+        assert replay_trace(g, trace) == kernel
