@@ -27,19 +27,15 @@ from .formats import (
 )
 from .generators import FAMILIES, generate
 from .graph import Graph, GraphError
-from .kernel import kernelize, verify_trace
-from .pipeline import (
-    DecisionReport,
-    compute_values,
-    decide_dual_index_coding,
-    decide_dual_minrank,
-    decide_storage_capacity,
-)
+from .kernel import CAPACITY, INDEX_CODING, MINRANK, kernelize, verify_trace
+from .pipeline import DecisionReport, compute_values, decide
 
 EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+PROBLEMS = {"sc": CAPACITY, "dic": INDEX_CODING, "dmr": MINRANK}
 
 
 def _caps_from_args(args: argparse.Namespace) -> Caps:
@@ -104,18 +100,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if k is None:
         print("error: no parameter k (use --k or embed it in the instance)", file=sys.stderr)
         return EXIT_USAGE
-    caps = _caps_from_args(args)
-    try:
-        if args.problem == "sc":
-            report = decide_storage_capacity(graph, k, q=args.q, caps=caps)
-        elif args.problem == "dic":
-            report = decide_dual_index_coding(graph, k, q=args.q, caps=caps)
-        else:
-            report = decide_dual_minrank(graph, k, p=args.p, caps=caps)
-    except CapExceeded as exc:
-        kernel, kk, _ = kernelize(graph, k)
-        print(f"error: {exc} (kernel has {kernel.n} vertices, k'={kk})", file=sys.stderr)
-        return EXIT_CAP
+    problem = PROBLEMS[args.problem]
+    q = args.p if problem == MINRANK else args.q
+    report = decide(problem, graph, k, q=q, caps=_caps_from_args(args))
     print("YES" if report.answer else "NO")
     _write(args.out, json.dumps(_report_dict(report), indent=2) + "\n")
     return EXIT_OK if report.answer else EXIT_NO
@@ -125,12 +112,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     graph, meta = load_instance(args.input, args.format)
     q = args.q if args.q is not None else meta.get("q", 2)
     p = args.p if args.p is not None else meta.get("p", 2)
-    caps = _caps_from_args(args)
-    try:
-        report = compute_values(graph, q=q, p=p, caps=caps)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    report = compute_values(graph, q=q, p=p, caps=_caps_from_args(args))
     exponent = None
     power = 1
     for e in range(report.trace.input_n + 1):
@@ -204,8 +186,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ns = _int_list(args.n) if args.n else []
     probs = _float_list(args.prob) if args.prob else [0.0]
     ks = _int_list(args.k) if args.k else []
-    if not ns or not ks:
-        pass  # header-only CSV for an empty grid
     for n in ns:
         for prob in probs:
             for k in ks:
@@ -259,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern.set_defaults(func=cmd_kernelize)
 
     p_dec = sub.add_parser("decide", help="decide sc / dic / dmr on an instance")
-    p_dec.add_argument("problem", choices=["sc", "dic", "dmr"])
+    p_dec.add_argument("problem", choices=list(PROBLEMS))
     p_dec.add_argument("input")
     p_dec.add_argument("--k", type=int, default=None)
     p_dec.add_argument("--q", type=int, default=2)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Union
 
-from .crown import CrownDecomposition, find_crown_or_matching, verify_crown
+from .crown import CrownDecomposition, find_crown_or_matching
 from .graph import (
     Graph,
     K0,
@@ -74,32 +74,6 @@ class ReductionTrace:
     dual_offset: int  # sum of |C| over crown steps + number of removed isolated vertices
 
 
-def apply_isolated_rule(g: Graph) -> tuple[Graph, set[int]]:
-    """Remove all isolated vertices; returns the reduced graph and the set removed."""
-    removed = isolated_vertices(g)
-    if not removed:
-        return g, removed
-    reduced, _ = induced_subgraph(g, set(range(g.n)) - removed)
-    return reduced, removed
-
-
-def apply_crown_rule(g: Graph, dec: CrownDecomposition, k: int) -> tuple[Graph, int]:
-    """Replace (G, k) by (G[R], k - |H|) for a verified crown decomposition."""
-    if not verify_crown(g, dec):
-        raise ValueError("invalid crown decomposition")
-    reduced, _ = induced_subgraph(g, dec.body)
-    return reduced, k - len(dec.head)
-
-
-def crown_step(dec: CrownDecomposition) -> CrownReduction:
-    """The trace step recording crown decomposition ``dec``."""
-    return CrownReduction(
-        crown=tuple(sorted(dec.crown)),
-        head=tuple(sorted(dec.head)),
-        body=tuple(sorted(dec.body)),
-    )
-
-
 def live_subgraph(g: Graph, live: int) -> Graph:
     """``g`` restricted to the vertex mask ``live``; ``g`` itself if all live."""
     if live == all_vertices(g):
@@ -107,7 +81,7 @@ def live_subgraph(g: Graph, live: int) -> Graph:
     return induced_subgraph(g, members(live))[0]
 
 
-def kernelize(g: Graph, k: int, q: int | None = None) -> tuple[Graph, int, ReductionTrace]:
+def kernelize(g: Graph, k: int | None, q: int | None = None) -> tuple[Graph, int, ReductionTrace]:
     """Reduce (G, k) to an equivalent instance with at most max(3k'-3, 0) vertices.
 
     The loop follows the fixed step order: k-test, isolated removal, crown
@@ -115,40 +89,55 @@ def kernelize(g: Graph, k: int, q: int | None = None) -> tuple[Graph, int, Reduc
     every step is recorded in input coordinates and only the kernel graph is
     built.  A matching of size k short-circuits to the fixed YES instance
     (K0, 0), flagged on the trace so value lifting can refuse it.
+
+    ``k=None`` is value mode: each round asks for the largest k' with
+    n >= 3k'-2, and a matching ends the loop without a YES (only the
+    equality rules may feed the value ledger).  The residual graph is
+    returned with k' = 0 and recorded with input k = 0.
     """
+    value_mode = k is None
     steps: list[ReductionStep] = []
     capacity_offset = 0
     dual_offset = 0
     short_circuit = False
     live = all_vertices(g)
-    kk = k
+    input_k = kk = 0 if value_mode else k
 
-    while kk > 0:
+    while value_mode or kk > 0:
         removed = isolated_vertices(g, live)
         if removed:
             steps.append(IsolatedRemoval(tuple(sorted(removed))))
             dual_offset += len(removed)
             live &= ~mask_of(removed)
-        if live.bit_count() < 3 * kk - 2:
+        n = live.bit_count()
+        target = (n + 2) // 3 if value_mode else kk
+        if target < 1 or n < 3 * target - 2:
             break
-        result = find_crown_or_matching(g, kk, live)
+        result = find_crown_or_matching(g, target, live)
         if not isinstance(result, CrownDecomposition):
-            short_circuit = True
+            short_circuit = not value_mode
             break
-        steps.append(crown_step(result))
+        steps.append(
+            CrownReduction(
+                crown=tuple(sorted(result.crown)),
+                head=tuple(sorted(result.head)),
+                body=tuple(sorted(result.body)),
+            )
+        )
         capacity_offset += len(result.head)
         dual_offset += len(result.crown)
         live = mask_of(result.body)
-        kk -= len(result.head)
+        if not value_mode:
+            kk -= len(result.head)
 
-    if kk <= 0 or short_circuit:
+    if short_circuit or (not value_mode and kk <= 0):
         kernel, kk = K0, 0
     else:
         kernel = live_subgraph(g, live)
     trace = ReductionTrace(
         input_n=g.n,
         input_m=g.m,
-        input_k=k,
+        input_k=input_k,
         q=q,
         steps=tuple(steps),
         short_circuit=short_circuit,
@@ -187,20 +176,20 @@ def _step_mask(g: Graph, vertices: tuple[int, ...], live: int) -> int | None:
 
 
 def replay_trace(g: Graph, trace: ReductionTrace) -> Graph:
-    """Re-apply the recorded steps to ``g`` and return the resulting graph.
+    """The graph left after the recorded steps remove their vertices from ``g``.
 
-    For non-short-circuit traces this reproduces the kernel graph exactly.
+    The trace is verified first; a ValueError names the ``verify_trace``
+    reason.  For non-short-circuit traces the result is the kernel graph.
     """
-    live = all_vertices(g)
+    reason = verify_trace(g, trace)
+    if reason is not None:
+        raise ValueError(f"trace fails verification: {reason}")
+    removed = set()
     for step in trace.steps:
-        if isinstance(step, IsolatedRemoval):
-            removed = _step_mask(g, step.vertices, live)
-        else:
-            removed = _step_mask(g, step.crown + step.head, live)
-        if removed is None:
-            raise ValueError("trace step removes vertices not present in the graph")
-        live &= ~removed
-    return live_subgraph(g, live)
+        removed.update(
+            step.vertices if isinstance(step, IsolatedRemoval) else step.crown + step.head
+        )
+    return live_subgraph(g, all_vertices(g) & ~mask_of(removed))
 
 
 def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:

@@ -95,6 +95,25 @@ class TestCliExitCodes:
         target.write_text(write_dimacs(complete(5)))
         assert main(["solve", str(target), "--cap-conf", "4"]) == 3
 
+    def test_decide_cap_names_the_kernel(self, tmp_path, capsys, monkeypatch):
+        from conftest import complete
+
+        import crownkernel.pipeline
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernelize(*args, **kwargs)
+
+        monkeypatch.setattr(crownkernel.pipeline, "kernelize", counted)
+        target = tmp_path / "k5.col"
+        target.write_text(write_dimacs(complete(5)))
+        assert main(["decide", "sc", str(target), "--k", "3", "--cap-conf", "4"]) == 3
+        err = capsys.readouterr().err
+        assert "kernel has 5 vertices, k'=3" in err and "needs 32, cap is 4" in err
+        assert len(calls) == 1
+
     def test_solve_output(self, star_file, capsys):
         assert main(["solve", star_file]) == 0
         out = capsys.readouterr().out

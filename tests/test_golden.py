@@ -15,7 +15,6 @@ import pytest
 from crownkernel import compute_values, kernelize
 from crownkernel.formats import trace_to_dict, write_dimacs
 from crownkernel.generators import gen_crown_planted, gen_gnp, generate
-from crownkernel.pipeline import _value_mode_reduce
 
 
 def digest(obj) -> str:
@@ -83,7 +82,7 @@ def test_value_mode_trace_matches_golden(name):
     if name in SOLVABLE:
         trace = compute_values(g).trace
     else:
-        trace = _value_mode_reduce(g, 2)[1]
+        trace = kernelize(g, None, 2)[2]
     assert digest(trace_to_dict(trace)) == GOLDEN[name][1]
 
 

@@ -9,8 +9,9 @@ from crownkernel import (
     INDEX_CODING,
     K0,
     MINRANK,
-    apply_crown_rule,
-    apply_isolated_rule,
+    check_crown,
+    induced_subgraph,
+    isolated_vertices,
     kernelize,
     lift_value,
     replay_trace,
@@ -29,18 +30,30 @@ from crownkernel.kernel import CrownReduction, IsolatedRemoval, ReductionTrace
 from conftest import all_labeled_graphs, complete, empty, random_graph, star
 
 
+def isolated_rule(g):
+    """Remove all isolated vertices; the reduced graph and the set removed."""
+    removed = isolated_vertices(g)
+    return induced_subgraph(g, set(range(g.n)) - removed)[0], removed
+
+
+def crown_rule(g, dec, k):
+    """Replace (G, k) by (G[R], k - |H|) for a valid crown decomposition."""
+    assert check_crown(g, dec) is None
+    return induced_subgraph(g, dec.body)[0], k - len(dec.head)
+
+
 class TestIsolatedRule:
     def test_edgeless(self):
-        g2, removed = apply_isolated_rule(empty(4))
+        g2, removed = isolated_rule(empty(4))
         assert g2 == K0 and removed == {0, 1, 2, 3}
 
     def test_k2_plus_isolated(self):
-        g2, removed = apply_isolated_rule(Graph.from_edges(3, [(0, 1)]))
+        g2, removed = isolated_rule(Graph.from_edges(3, [(0, 1)]))
         assert g2.n == 2 and g2.m == 1 and removed == {2}
 
     def test_no_isolated(self):
         g = complete(5)
-        g2, removed = apply_isolated_rule(g)
+        g2, removed = isolated_rule(g)
         assert g2 == g and removed == set()
 
 
@@ -51,7 +64,7 @@ class TestCrownRule:
             crown=frozenset({1, 2}), head=frozenset({0}), body=frozenset(),
             witness=((0, 1),),
         )
-        g2, k2 = apply_crown_rule(g, dec, 2)
+        g2, k2 = crown_rule(g, dec, 2)
         assert g2 == K0 and k2 == 1
 
     def test_star5_with_body(self):
@@ -60,7 +73,7 @@ class TestCrownRule:
             crown=frozenset({2, 3, 4}), head=frozenset({0}), body=frozenset({1}),
             witness=((0, 2),),
         )
-        g2, k2 = apply_crown_rule(g, dec, 2)
+        g2, k2 = crown_rule(g, dec, 2)
         assert g2.n == 1 and g2.m == 0 and k2 == 1
 
     def test_k_equals_head_size(self):
@@ -69,7 +82,7 @@ class TestCrownRule:
             crown=frozenset({1, 2}), head=frozenset({0}), body=frozenset(),
             witness=((0, 1),),
         )
-        assert apply_crown_rule(g, dec, 1)[1] == 0
+        assert crown_rule(g, dec, 1)[1] == 0
 
     def test_invalid_crown_rejected(self):
         g = star(4)
@@ -77,8 +90,8 @@ class TestCrownRule:
             crown=frozenset({0}), head=frozenset({1}), body=frozenset({2, 3}),
             witness=((1, 0),),
         )
-        with pytest.raises(ValueError):
-            apply_crown_rule(g, dec, 2)
+        # the "crown" is the star's center, adjacent to the body
+        assert check_crown(g, dec) == "crown-body-edge"
 
 
 class TestKernelize:
@@ -152,9 +165,7 @@ class TestKernelize:
 
 class TestLiftValue:
     def _star6_value_trace(self):
-        from crownkernel.pipeline import _value_mode_reduce
-
-        residual, trace = _value_mode_reduce(star(6), 2)
+        residual, _, trace = kernelize(star(6), None, 2)
         return residual, trace
 
     def test_star6_dual_lift(self):
@@ -188,7 +199,7 @@ class TestRuleEqualities:
 
         for base in all_labeled_graphs(3):
             g = Graph(base.n + 1, base.adj + (0,))
-            g2, removed = apply_isolated_rule(g)
+            g2, removed = isolated_rule(g)
             assert removed  # vertex 3 is always isolated here
             conf_g = build_confusion_graph(g, 2).graph
             conf_g2 = build_confusion_graph(g2, 2).graph
@@ -204,7 +215,7 @@ class TestRuleEqualities:
             c, h = rng.randint(1, 3), 1
             r = rng.randint(0, 6 - c - h)
             g, dec = gen_crown_planted(c, max(h, 1), r, rng)
-            body_graph, k2 = apply_crown_rule(g, dec, 3)
+            body_graph, k2 = crown_rule(g, dec, 3)
             assert k2 == 3 - len(dec.head)
             assert storage_capacity_alpha(g, 2) == storage_capacity_alpha(
                 body_graph, 2
@@ -222,6 +233,8 @@ def test_verify_trace_detects_tampering():
     assert verify_trace(g, bad) is not None
     bad_offsets = dataclasses.replace(trace, dual_offset=trace.dual_offset + 1)
     assert verify_trace(g, bad_offsets) is not None
+    with pytest.raises(ValueError, match="dual-offset-mismatch"):
+        replay_trace(g, bad_offsets)
 
 
 class TestVerifyTraceMalformedSteps:

@@ -1,7 +1,16 @@
+import dataclasses
 import random
+import types
 
+import pytest
+
+import crownkernel
 from crownkernel import (
+    CAPACITY,
+    INDEX_CODING,
+    MINRANK,
     compute_values,
+    decide,
     decide_dual_index_coding,
     decide_dual_minrank,
     decide_storage_capacity,
@@ -14,6 +23,19 @@ from crownkernel.exact import (
 )
 
 from conftest import all_labeled_graphs, complete, empty, random_graph, star
+
+
+def untimed(report):
+    return dataclasses.replace(report, timings={})
+
+
+def test_all_names_no_module():
+    # a submodule in __all__ would shadow names like ``graph`` on a star import
+    assert not [
+        name for name in crownkernel.__all__
+        if isinstance(getattr(crownkernel, name), types.ModuleType)
+    ]
+    assert "decide" in crownkernel.__all__
 
 
 class TestDecide:
@@ -64,15 +86,29 @@ class TestDecide:
                 # once NO, stays NO
                 assert all(a or not b for a, b in zip(answers, answers[1:]))
 
+    def test_parameter_checks(self):
+        g = star(3)
+        with pytest.raises(ValueError, match="field modulus 4 is not prime"):
+            decide_dual_minrank(g, 1, p=4)
+        with pytest.raises(ValueError, match="alphabet size q must be >= 2"):
+            decide(INDEX_CODING, g, 1, q=1)
+        with pytest.raises(ValueError, match="unknown problem"):
+            decide("chromatic", g, 1)
+
     def test_pipeline_matches_direct_n4(self):
         for g in all_labeled_graphs(4):
             alpha = independence_number(build_confusion_graph(g, 2).graph)
             ind = index_coding_length(g, 2)
             mr = minrank(g, 2)
             for k in range(g.n + 1):
-                assert decide_storage_capacity(g, k).answer == (alpha >= 2**k)
-                assert decide_dual_index_coding(g, k).answer == (ind <= g.n - k)
-                assert decide_dual_minrank(g, k).answer == (mr <= g.n - k)
+                sc = decide_storage_capacity(g, k)
+                dic = decide_dual_index_coding(g, k)
+                dmr = decide_dual_minrank(g, k)
+                assert sc.answer == (alpha >= 2**k)
+                assert dic.answer == (ind <= g.n - k)
+                assert dmr.answer == (mr <= g.n - k)
+                for problem, report in ((CAPACITY, sc), (INDEX_CODING, dic), (MINRANK, dmr)):
+                    assert untimed(decide(problem, g, k)) == untimed(report)
 
 
 class TestComputeValues:
