@@ -42,7 +42,9 @@ class Caps:
     """Size limits for the exact solvers; exceeding one raises, never approximates."""
 
     confusion: int = 2**20  # max vertex count of a constructed confusion graph
-    alpha: int = 4096  # max vertex count for independence_number
+    # max vertex count for independence_number; storage_capacity_alpha checks
+    # it (after `confusion`) against q**n whether or not it builds Conf_q(G)
+    alpha: int = 4096
     chi: int = 512  # max vertex count for chromatic_number / colorability
     minrank: int = 2**40  # max nominal search space (p-1)**n * p**(2m) for minrank
 
@@ -144,20 +146,27 @@ def max_clique_set(g: Graph) -> tuple[int, int]:
     """
     if g.n == 0:
         return 0, 0
-    adj = g.adj
-    best = 0
-    best_mask = 0
-    current: list[int] = []
+    return _grow_clique(g.adj, 0, (1 << g.n) - 1, 0, g.n)
 
-    def expand(size: int, cand: int) -> None:
+
+def _grow_clique(
+    adj: Sequence[int], clique: int, cand: int, best: int, stop: int
+) -> tuple[int, int]:
+    """Branch and bound for the largest clique that extends ``clique`` by
+    vertices of ``cand`` (each adjacent to all of ``clique``).
+
+    Only cliques larger than ``best`` are searched for, and the search ends
+    once one of size ``stop`` is found.  Returns (size, mask) of the largest
+    clique found, or (best, 0) if none is larger than ``best``.
+    """
+    best_mask = 0
+
+    def expand(clique: int, size: int, cand: int) -> None:
         nonlocal best, best_mask
         if cand == 0:
             if size > best:
                 best = size
-                mask = 0
-                for u in current:
-                    mask |= 1 << u
-                best_mask = mask
+                best_mask = clique
             return
         order: list[int] = []
         bound: list[int] = []
@@ -174,15 +183,13 @@ def max_clique_set(g: Graph) -> tuple[int, int]:
                 order.append(v)
                 bound.append(color)
         for i in range(len(order) - 1, -1, -1):
-            if size + bound[i] <= best:
+            if size + bound[i] <= best or best >= stop:
                 return
             v = order[i]
-            current.append(v)
-            expand(size + 1, cand & adj[v])
-            current.pop()
+            expand(clique | 1 << v, size + 1, cand & adj[v])
             cand &= ~(1 << v)
 
-    expand(0, (1 << g.n) - 1)
+    expand(clique, clique.bit_count(), cand)
     return best, best_mask
 
 
@@ -315,9 +322,40 @@ def chromatic_number(g: Graph, caps: Caps = DEFAULT_CAPS) -> int:
 
 def storage_capacity_alpha(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:
     """alpha(Conf_q(G)); the capacity itself is log_q of this integer and the
-    decision Capa_q(G) >= k is alpha >= q**k in exact arithmetic."""
-    conf = build_confusion_graph(g, q, caps)
-    return independence_number(conf.graph, caps)
+    decision Capa_q(G) >= k is alpha >= q**k in exact arithmetic.
+
+    Two base-graph bounds sandwich the value, q**(n - cc(G)) <= alpha <=
+    q**(n - alpha(G)), with cc(G) the clique-cover number:
+
+    * lower: for a clique cover, the vectors whose symbols sum to 0 mod q on
+      every clique form a code of size q**(n - cc); symbol i is minus the sum
+      over the rest of its clique, which lies in N(i), so no two conflict.
+    * upper: for an independent set I, N(i) lies outside I for each i in I,
+      so two vectors that agree outside I but differ at some i in I conflict;
+      a code therefore has at most q**(n - |I|) members.
+
+    Conf_q(G) is built only when the bounds differ.  It is a Cayley graph on
+    Z_q**n (conflict depends only on x - y), so translating any maximum
+    independent set gives one through vertex 0, and the search starts there,
+    seeded with the lower bound and stopped at the upper one.  Every cap is
+    checked against q**n before anything is allocated.
+    """
+    if q < 2:
+        raise ValueError("alphabet size q must be >= 2")
+    size = q**g.n
+    if size > caps.confusion:
+        raise CapExceeded("confusion graph size", size, caps.confusion)
+    if size > caps.alpha:
+        raise CapExceeded("independence solver vertex count", size, caps.alpha)
+    # q**n <= caps.alpha keeps the base graph to a few vertices, so its own
+    # size is the only cap its solvers need.
+    comp = g.complement()
+    lo = q ** (g.n - chromatic_number(comp, Caps(chi=g.n)))
+    hi = q ** (g.n - max_clique(comp))
+    if lo == hi:
+        return lo
+    compatible = build_confusion_graph(g, q, caps).graph.complement()
+    return _grow_clique(compatible.adj, 1, compatible.adj[0], lo, hi)[0]
 
 
 def index_coding_length(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:

@@ -156,10 +156,17 @@ def lift_value(trace: ReductionTrace, kernel_value: int, problem: Problem) -> in
     confusion graph: alpha_input = alpha_kernel * q ** capacity_offset (the
     trace must carry q).  For index coding length and minrank the lift adds
     the dual offset.  Short-circuited traces carry an inequality, not an
-    equality, and are refused.
+    equality, and are refused, as are traces whose kernel is the sentinel K0
+    rather than the graph the steps leave (k used up by the steps, or k <= 0).
     """
     if trace.short_circuit:
         raise ValueError("cannot lift values through a short-circuited trace")
+    removed = sum(
+        len(step.vertices) if isinstance(step, IsolatedRemoval) else len(step.crown + step.head)
+        for step in trace.steps
+    )
+    if trace.kernel_n != trace.input_n - removed:
+        raise ValueError("cannot lift values through a trace whose kernel is the sentinel K0")
     if problem == CAPACITY:
         if trace.q is None:
             raise ValueError("capacity lifting needs the alphabet size q on the trace")

@@ -40,7 +40,7 @@ class DecisionReport:
     trace: ReductionTrace
     kernel_n: int
     kernel_k: int
-    confusion_size: int | None  # q**kernel_n when the solver built it
+    confusion_size: int | None  # q**kernel_n once SC / DIC reach the solver, built or not
     timings: dict[str, float]
 
 

@@ -4,6 +4,13 @@ import random
 import pytest
 
 from crownkernel import Graph
+from crownkernel.exact import (
+    build_confusion_graph,
+    chromatic_number,
+    independence_number,
+    index_coding_length,
+    minrank,
+)
 
 
 def all_labeled_graphs(n):
@@ -37,3 +44,19 @@ def empty(n):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def catalog5():
+    """alpha(Conf_2), chi(Conf_2), Ind_2, minrank over GF(2) for every labeled
+    graph on 5 vertices; alpha is the plain branch and bound on the built
+    confusion graph, the reference for storage_capacity_alpha."""
+    entries = []
+    for g in all_labeled_graphs(5):
+        conf = build_confusion_graph(g, 2).graph
+        alpha = independence_number(conf)
+        chi = chromatic_number(conf)
+        ind = index_coding_length(g, 2)
+        mr = minrank(g, 2)
+        entries.append((g, alpha, chi, ind, mr))
+    return entries

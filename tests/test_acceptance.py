@@ -9,8 +9,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 from crownkernel import Graph, kernelize
 from crownkernel.exact import (
     build_confusion_graph,
@@ -47,21 +45,6 @@ def criterion(num: int, title: str):
         print(f"criterion {num}: FAIL - {title}")
         raise
     print(f"criterion {num}: PASS - {title}")
-
-
-@pytest.fixture(scope="session")
-def catalog5():
-    """alpha(Conf_2), chi(Conf_2), Ind_2, minrank over GF(2) for every labeled
-    graph on 5 vertices."""
-    entries = []
-    for g in all_labeled_graphs(5):
-        conf = build_confusion_graph(g, 2).graph
-        alpha = independence_number(conf)
-        chi = chromatic_number(conf)
-        ind = index_coding_length(g, 2)
-        mr = minrank(g, 2)
-        entries.append((g, alpha, chi, ind, mr))
-    return entries
 
 
 def test_criterion_01_kernel_size_guarantee():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import crownkernel.exact
 from crownkernel import Graph
 from crownkernel.exact import (
     CapExceeded,
@@ -179,6 +180,102 @@ class TestProblemValues:
             conf = build_confusion_graph(g, 2).graph
             expected = math.ceil(math.log2(chromatic_number(conf))) if g.n else 0
             assert index_coding_length(g, 2) == expected
+
+
+def plain_alpha(g, q):
+    """alpha(Conf_q(G)) by the plain branch and bound on the built graph."""
+    return independence_number(build_confusion_graph(g, q).graph)
+
+
+def base_bounds(g, q):
+    """(q**(n - cc(G)), q**(n - alpha(G))), the bounds around alpha(Conf_q(G))."""
+    comp = g.complement()
+    return q ** (g.n - chromatic_number(comp)), q ** (g.n - max_clique(comp))
+
+
+def count_builds(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_confusion_graph(*args, **kwargs)
+
+    monkeypatch.setattr(crownkernel.exact, "build_confusion_graph", counted)
+    return calls
+
+
+def forbid_builds(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("build_confusion_graph called")
+
+    monkeypatch.setattr(crownkernel.exact, "build_confusion_graph", fail)
+
+
+class TestStorageCapacityAlpha:
+    def test_matches_plain_search_on_all_5_vertex_graphs(self, catalog5):
+        for g, alpha, _, _, _ in catalog5:
+            assert storage_capacity_alpha(g, 2) == alpha
+
+    def test_matches_plain_search_on_all_4_vertex_graphs_q3(self):
+        # alpha(Conf_q) is the same on isomorphic graphs, and the plain
+        # search's time depends on the labeling (35-75 s on three labelings
+        # of K4 minus an edge, milliseconds on the other three), so it runs
+        # once per isomorphism class, on the class's last labeling.
+        def canonical(g):
+            return min(
+                tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges()))
+                for p in itertools.permutations(range(g.n))
+            )
+
+        graphs = list(all_labeled_graphs(4))
+        last = {canonical(g): g for g in graphs}
+        assert len(last) == 11
+        reference = {key: plain_alpha(g, 3) for key, g in last.items()}
+        for g in graphs:
+            assert storage_capacity_alpha(g, 3) == reference[canonical(g)]
+
+    def test_gap_search_matches_plain_search(self, monkeypatch):
+        graphs = [cycle(5), cycle(7)]
+        # Seeded gap graphs; on some 8-vertex gap graphs the plain reference
+        # runs for minutes, so this seed keeps its total near two seconds.
+        rng = random.Random(2)
+        for n in (6, 6, 7, 7, 8):
+            while True:
+                g = random_graph(rng, n, 0.5)
+                lo, hi = base_bounds(g, 2)
+                if lo != hi:
+                    graphs.append(g)
+                    break
+        assert base_bounds(cycle(5), 2) == (4, 8)
+        expected = [plain_alpha(g, 2) for g in graphs]
+        assert expected[0] == 5
+        calls = count_builds(monkeypatch)
+        assert [storage_capacity_alpha(g, 2) for g in graphs] == expected
+        assert len(calls) == len(graphs)
+
+    def test_equal_bounds_build_nothing(self, monkeypatch):
+        graphs = [complete(4), star(6), empty(4), Graph(0, ())]
+        assert all(lo == hi for lo, hi in (base_bounds(g, 2) for g in graphs))
+        expected = [plain_alpha(g, 2) for g in graphs]
+        forbid_builds(monkeypatch)
+        assert [storage_capacity_alpha(g, 2) for g in graphs] == expected == [8, 2, 1, 1]
+
+    def test_caps_before_allocation(self, monkeypatch):
+        forbid_builds(monkeypatch)
+        with pytest.raises(CapExceeded) as err:
+            storage_capacity_alpha(path(13), 2)
+        exc = err.value
+        assert (exc.what, exc.needed, exc.cap) == ("independence solver vertex count", 8192, 4096)
+        with pytest.raises(CapExceeded) as err:
+            storage_capacity_alpha(path(13), 2, Caps(confusion=16, alpha=4))
+        exc = err.value
+        assert (exc.what, exc.needed, exc.cap) == ("confusion graph size", 8192, 16)
+        with pytest.raises(ValueError):
+            storage_capacity_alpha(path(3), 1, Caps(confusion=0))
+
+    def test_base_graph_ignores_the_chi_cap(self):
+        assert storage_capacity_alpha(complete(4), 2, Caps(chi=1)) == 8
+        assert storage_capacity_alpha(cycle(5), 2, Caps(chi=1)) == 5
 
 
 class TestGF:

@@ -24,7 +24,7 @@ from crownkernel.exact import (
     minrank,
     storage_capacity_alpha,
 )
-from crownkernel.generators import gen_crown_planted
+from crownkernel.generators import gen_crown_planted, gen_gnp
 from crownkernel.kernel import CrownReduction, IsolatedRemoval, ReductionTrace
 
 from conftest import all_labeled_graphs, complete, empty, random_graph, star
@@ -184,6 +184,17 @@ class TestLiftValue:
         _, _, trace = kernelize(complete(4), 3, q=2)
         if not trace.short_circuit:
             assert lift_value(trace, 7, INDEX_CODING) == 7
+
+    def test_sentinel_kernel_refused(self):
+        # k = 0 yields the sentinel K0, not the residual; the lift would
+        # give alpha 1 and Ind 0 where the values are 8 and 2
+        g = gen_gnp(5, 0.5, random.Random(3))
+        kernel, _, trace = kernelize(g, 0, 2)
+        assert not trace.short_circuit and not trace.steps and kernel.n == trace.kernel_n == 0
+        assert (storage_capacity_alpha(g, 2), index_coding_length(g, 2)) == (8, 2)
+        for problem in (CAPACITY, INDEX_CODING, MINRANK):
+            with pytest.raises(ValueError, match="sentinel"):
+                lift_value(trace, 1, problem)
 
     def test_short_circuit_refused(self):
         _, _, trace = kernelize(Graph.from_edges(2, [(0, 1)]), 1, q=2)
