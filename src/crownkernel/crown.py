@@ -108,7 +108,12 @@ def find_crown_or_matching(
         raise ValueError(f"graph has {n} < 3k-2 = {3 * k - 2} vertices")
     if isolated_vertices(g, live):
         raise ValueError("graph has isolated vertices")
+    return _crown_or_matching(g, k, live)
 
+
+def _crown_or_matching(g: Graph, k: int, live: int) -> Union[Matching, CrownDecomposition]:
+    """``find_crown_or_matching`` for callers that have already established
+    its preconditions on ``live``."""
     maximal = greedy_maximal_matching(g, live)
     if len(maximal) >= k:
         return maximal[:k]
@@ -126,7 +131,8 @@ def find_crown_or_matching(
     crown = frozenset(members(crown_mask))
     if not head or not crown:
         raise CrownConstructionError(
-            f"degenerate crown (|H|={len(head)}, |C|={len(crown)}) on n={n}, k={k}"
+            f"degenerate crown (|H|={len(head)}, |C|={len(crown)}) "
+            f"on n={live.bit_count()}, k={k}"
         )
     body = frozenset(members(live & ~mask_of(head) & ~crown_mask))
     witness = tuple(sorted((a, b) for a, b in cross if a in head))

@@ -24,6 +24,7 @@ from .graph import (
     bits,
     clique_cover_is_valid,
     greedy_clique_cover,
+    induced_subgraph,
 )
 
 
@@ -43,9 +44,12 @@ class Caps:
 
     confusion: int = 2**20  # max vertex count of a constructed confusion graph
     # max vertex count for independence_number; storage_capacity_alpha checks
-    # it (after `confusion`) against q**n whether or not it builds Conf_q(G)
+    # it (after `confusion`) against q**n whether or not it builds Conf_q(G);
+    # index_coding_length does not check it
     alpha: int = 4096
-    chi: int = 512  # max vertex count for chromatic_number / colorability
+    # max vertex count for chromatic_number / colorability; index_coding_length
+    # checks it (after `confusion`) against q**n before building Conf_q(G)
+    chi: int = 512
     minrank: int = 2**40  # max nominal search space (p-1)**n * p**(2m) for minrank
 
 
@@ -320,6 +324,25 @@ def chromatic_number(g: Graph, caps: Caps = DEFAULT_CAPS) -> int:
 # Problem values through the confusion graph
 
 
+def _base_bounds(g: Graph, q: int) -> tuple[int, int, int]:
+    """(cc(G), q**(n - cc(G)), q**(n - alpha(G))): the clique-cover number of
+    the base graph and the two bounds it and alpha(G) put on alpha(Conf_q(G)).
+
+    Callers have checked q**n against a cap, which keeps the base graph to a
+    few vertices, so its own size is the only cap its solvers need.
+    """
+    comp = g.complement()
+    cover_number = chromatic_number(comp, Caps(chi=g.n))
+    return cover_number, q ** (g.n - cover_number), q ** (g.n - max_clique(comp))
+
+
+def _alpha_in_gap(conf: Graph, lo: int, hi: int) -> int:
+    """alpha(Conf_q(G)) given lo <= alpha <= hi: the largest independent set
+    through vertex 0, seeded with lo and stopped at hi."""
+    compatible = conf.complement()
+    return _grow_clique(compatible.adj, 1, compatible.adj[0], lo, hi)[0]
+
+
 def storage_capacity_alpha(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:
     """alpha(Conf_q(G)); the capacity itself is log_q of this integer and the
     decision Capa_q(G) >= k is alpha >= q**k in exact arithmetic.
@@ -347,15 +370,10 @@ def storage_capacity_alpha(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:
         raise CapExceeded("confusion graph size", size, caps.confusion)
     if size > caps.alpha:
         raise CapExceeded("independence solver vertex count", size, caps.alpha)
-    # q**n <= caps.alpha keeps the base graph to a few vertices, so its own
-    # size is the only cap its solvers need.
-    comp = g.complement()
-    lo = q ** (g.n - chromatic_number(comp, Caps(chi=g.n)))
-    hi = q ** (g.n - max_clique(comp))
+    _, lo, hi = _base_bounds(g, q)
     if lo == hi:
         return lo
-    compatible = build_confusion_graph(g, q, caps).graph.complement()
-    return _grow_clique(compatible.adj, 1, compatible.adj[0], lo, hi)[0]
+    return _alpha_in_gap(build_confusion_graph(g, q, caps).graph, lo, hi)
 
 
 def index_coding_length(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:
@@ -364,23 +382,50 @@ def index_coding_length(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:
     Only power-of-q colorability matters, so instead of pinning chi exactly
     this searches the smallest ell with Conf_q(G) being q**ell-colorable.
     The minimum clique cover of the base graph yields a proper coloring of
-    the confusion graph with q**cover colors (the per-clique-sum index code),
-    and the clique / counting bounds cap chi from below, so explicit
-    colorability search only runs inside the gap between the two.
+    the confusion graph with q**cc(G) colors (the per-clique-sum index code),
+    and two bounds cap chi from below, so explicit colorability search only
+    runs inside the gap between the two:
+
+    * counting: chi >= ceil(q**n / alpha(Conf_q(G))), with alpha taken as in
+      storage_capacity_alpha: the base-graph bound when the sandwich closes,
+      else the vertex-0 search between its two ends.
+    * clique: chi >= omega(Conf_q(G)).  Conf_q(G) is a Cayley graph on
+      Z_q**n, so x -> x - c is an automorphism; translating a maximum clique
+      by minus one of its members gives one through vertex 0, so the search
+      runs only over the neighbours of vertex 0.  It looks only for cliques
+      larger than the counting bound and so returns max(omega, counting).
+
+    Isolated vertices are dropped first, each adding exactly 1 (the isolated
+    rule of the reduction).  With them Conf_q(G) is the join of q**|I| copies
+    of Conf_q(G - I), where the clique search proves its bound only slowly.
+
+    Both caps (confusion, then chi) are checked against q**n before anything
+    is built; Conf_q(G) is built once and the alpha cap is not consulted,
+    since q**n <= caps.chi already bounds the graph.
     """
     if g.n == 0:
         return 0
+    if q < 2:
+        raise ValueError("alphabet size q must be >= 2")
+    size = q**g.n
+    if size > caps.confusion:
+        raise CapExceeded("confusion graph size", size, caps.confusion)
+    if size > caps.chi:
+        raise CapExceeded("index coding solver confusion size", size, caps.chi)
+    core = [v for v in range(g.n) if g.adj[v]]
+    if len(core) < g.n:
+        return g.n - len(core) + index_coding_length(induced_subgraph(g, core)[0], q, caps)
+    cover_number, lo, hi = _base_bounds(g, q)
     conf = build_confusion_graph(g, q, caps).graph
-    if conf.n > caps.chi:
-        raise CapExceeded("index coding solver confusion size", conf.n, caps.chi)
-    lower = max(max_clique(conf), -(-conf.n // max_clique(conf.complement())))
+    alpha = lo if lo == hi else _alpha_in_gap(conf, lo, hi)
+    counting = -(-size // alpha)
+    lower = _grow_clique(conf.adj, 1, conf.adj[0], counting, size)[0]
     ell = 0
     while q**ell < lower:
         ell += 1
-    cover_number = chromatic_number(g.complement(), caps)
     while ell < cover_number:
         colors = q**ell
-        if colors >= conf.n or is_colorable(conf, colors, caps):
+        if colors >= size or is_colorable(conf, colors, caps):
             return ell
         ell += 1
     return cover_number

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Union
 
-from .crown import CrownDecomposition, find_crown_or_matching
+from .crown import CrownDecomposition, _crown_or_matching
 from .graph import (
     Graph,
     K0,
@@ -113,7 +113,7 @@ def kernelize(g: Graph, k: int | None, q: int | None = None) -> tuple[Graph, int
         target = (n + 2) // 3 if value_mode else kk
         if target < 1 or n < 3 * target - 2:
             break
-        result = find_crown_or_matching(g, target, live)
+        result = _crown_or_matching(g, target, live)
         if not isinstance(result, CrownDecomposition):
             short_circuit = not value_mode
             break

@@ -182,6 +182,14 @@ class TestProblemValues:
             assert index_coding_length(g, 2) == expected
 
 
+def canonical(g):
+    """The lexicographically least relabeled edge list: equal on isomorphic graphs."""
+    return min(
+        tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges()))
+        for p in itertools.permutations(range(g.n))
+    )
+
+
 def plain_alpha(g, q):
     """alpha(Conf_q(G)) by the plain branch and bound on the built graph."""
     return independence_number(build_confusion_graph(g, q).graph)
@@ -221,12 +229,6 @@ class TestStorageCapacityAlpha:
         # search's time depends on the labeling (35-75 s on three labelings
         # of K4 minus an edge, milliseconds on the other three), so it runs
         # once per isomorphism class, on the class's last labeling.
-        def canonical(g):
-            return min(
-                tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges()))
-                for p in itertools.permutations(range(g.n))
-            )
-
         graphs = list(all_labeled_graphs(4))
         last = {canonical(g): g for g in graphs}
         assert len(last) == 11
@@ -276,6 +278,94 @@ class TestStorageCapacityAlpha:
     def test_base_graph_ignores_the_chi_cap(self):
         assert storage_capacity_alpha(complete(4), 2, Caps(chi=1)) == 8
         assert storage_capacity_alpha(cycle(5), 2, Caps(chi=1)) == 5
+
+
+def plain_ind(g, q, alpha=None):
+    """(Ind_q(G), colors asked of is_colorable on the confusion graph), from
+    chi >= max(omega, ceil(q**n / alpha)) on the built confusion graph, both
+    by the plain branch and bound over all of it, then the colorability
+    search up to the clique-cover number."""
+    if g.n == 0:
+        return 0, []
+    conf = build_confusion_graph(g, q).graph
+    if alpha is None:
+        alpha = independence_number(conf)
+    lower = max(max_clique(conf), math.ceil(conf.n / alpha))
+    ell = 0
+    while q**ell < lower:
+        ell += 1
+    cover_number = chromatic_number(g.complement())
+    asked = []
+    while ell < cover_number:
+        if q**ell >= conf.n:
+            return ell, asked
+        asked.append(q**ell)
+        if is_colorable(conf, q**ell):
+            return ell, asked
+        ell += 1
+    return cover_number, asked
+
+
+def count_colorability(monkeypatch):
+    calls = []
+
+    def counted(graph, k, *args, **kwargs):
+        calls.append((graph.n, k))
+        return is_colorable(graph, k, *args, **kwargs)
+
+    monkeypatch.setattr(crownkernel.exact, "is_colorable", counted)
+    return calls
+
+
+class TestIndexCodingLength:
+    def check(self, monkeypatch, cases, q):
+        """Ind_q, one confusion-graph build at most, and, on graphs without
+        isolated vertices (which are dropped first), the same colorability
+        questions as the plain bounds ask: the lower bound is the same."""
+        builds = count_builds(monkeypatch)
+        colorability = count_colorability(monkeypatch)
+        for g, (ind, asked) in cases:
+            del builds[:], colorability[:]
+            assert index_coding_length(g, q) == ind
+            assert len(builds) <= 1
+            if all(g.adj):
+                assert [k for n, k in colorability if n == q**g.n] == asked
+
+    def test_matches_plain_bounds_on_all_5_vertex_graphs(self, catalog5, monkeypatch):
+        cases = [(g, plain_ind(g, 2, alpha)) for g, alpha, _, _, _ in catalog5]
+        self.check(monkeypatch, cases, 2)
+
+    def test_matches_plain_bounds_on_all_4_vertex_graphs_q3(self, monkeypatch):
+        # Ind_q is the same on isomorphic graphs, and the plain bounds take
+        # over 5 s on some labelings (a single edge other than {2, 3}), so the
+        # reference runs on each isomorphism class's last labeling.
+        graphs = list(all_labeled_graphs(4))
+        last = {canonical(g): g for g in graphs}
+        reference = {key: plain_ind(g, 3) for key, g in last.items()}
+        self.check(monkeypatch, [(g, reference[canonical(g)]) for g in graphs], 3)
+
+    def test_alpha_gap_graphs(self, monkeypatch):
+        graphs = [cycle(5), cycle(7)]
+        assert [lo != hi for lo, hi in (base_bounds(g, 2) for g in graphs)] == [True, True]
+        cases = [(g, plain_ind(g, 2)) for g in graphs]
+        assert [ind for _, (ind, _) in cases] == [3, 4]
+        self.check(monkeypatch, cases, 2)
+
+    def test_caps_before_allocation(self, monkeypatch):
+        forbid_builds(monkeypatch)
+        with pytest.raises(CapExceeded) as err:
+            index_coding_length(path(13), 2)
+        exc = err.value
+        assert (exc.what, exc.needed, exc.cap) == ("index coding solver confusion size", 8192, 512)
+        with pytest.raises(CapExceeded) as err:
+            index_coding_length(path(13), 2, Caps(confusion=16, chi=4))
+        exc = err.value
+        assert (exc.what, exc.needed, exc.cap) == ("confusion graph size", 8192, 16)
+        with pytest.raises(ValueError):
+            index_coding_length(path(3), 1, Caps(confusion=0))
+
+    def test_ignores_the_alpha_cap(self):
+        assert index_coding_length(cycle(5), 2, Caps(alpha=1)) == 3
 
 
 class TestGF:
