@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: kernelize, decide, solve, gen, verify, bench.  Exit codes:
+Subcommands: kernelize, decide, solve, gen, verify.  Exit codes:
 0 success (or YES), 1 NO / verification failure, 2 usage or parse error,
 3 exact-solver cap exceeded.
 """
@@ -8,13 +8,10 @@ Subcommands: kernelize, decide, solve, gen, verify, bench.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-import time
 
-from .crown import verify_crown
+from .crown import check_crown
 from .exact import CapExceeded, Caps
 from .formats import (
     FormatError,
@@ -26,7 +23,7 @@ from .formats import (
     trace_to_dict,
 )
 from .generators import FAMILIES, generate
-from .graph import Graph, GraphError
+from .graph import GraphError
 from .kernel import CAPACITY, INDEX_CODING, MINRANK, kernelize, verify_trace
 from .pipeline import DecisionReport, compute_values, decide
 
@@ -165,61 +162,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reason = verify_trace(graph, trace)
     else:
         dec = crown_from_dict(obj)
-        reason = None if verify_crown(graph, dec) else "crown-invalid"
+        reason = check_crown(graph, dec)
     if reason is None:
         print("OK")
         return EXIT_OK
     print(f"FAIL: {reason}")
     return EXIT_NO
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    rows = []
-    ns = _int_list(args.n) if args.n else []
-    probs = _float_list(args.prob) if args.prob else [0.0]
-    ks = _int_list(args.k) if args.k else []
-    for n in ns:
-        for prob in probs:
-            for k in ks:
-                for offset in range(args.seeds):
-                    seed = args.seed + offset
-                    graph, _ = generate(args.family, n=n, prob=prob, seed=seed)
-                    t0 = time.perf_counter()
-                    _, _, trace = kernelize(graph, k)
-                    elapsed = time.perf_counter() - t0
-                    rows.append(
-                        {
-                            "family": args.family,
-                            "n": n,
-                            "p": prob,
-                            "k": k,
-                            "seed": seed,
-                            "kernel_n": trace.kernel_n,
-                            "kernel_k": trace.kernel_k,
-                            "short_circuit": trace.short_circuit,
-                            "kernelize_ms": round(elapsed * 1000.0, 3),
-                        }
-                    )
-    buffer = io.StringIO()
-    writer = csv.DictWriter(
-        buffer,
-        fieldnames=[
-            "family", "n", "p", "k", "seed",
-            "kernel_n", "kernel_k", "short_circuit", "kernelize_ms",
-        ],
-    )
-    writer.writeheader()
-    writer.writerows(rows)
-    _write(args.out, buffer.getvalue())
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,16 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("artifact")
     p_ver.add_argument("--format", choices=["dimacs", "json"], default=None)
     p_ver.set_defaults(func=cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="kernelization benchmark grid to CSV")
-    p_bench.add_argument("--family", choices=list(FAMILIES), default="gnp")
-    p_bench.add_argument("--n", default="")
-    p_bench.add_argument("--prob", default="")
-    p_bench.add_argument("--k", default="")
-    p_bench.add_argument("--seeds", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", default=None)
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -81,10 +81,6 @@ def check_crown(g: Graph, dec: CrownDecomposition, live: int | None = None) -> s
     return None
 
 
-def verify_crown(g: Graph, dec: CrownDecomposition) -> bool:
-    return check_crown(g, dec) is None
-
-
 def find_crown_or_matching(
     g: Graph, k: int, live: int | None = None
 ) -> Union[Matching, CrownDecomposition]:
@@ -118,23 +114,23 @@ def _crown_or_matching(g: Graph, k: int, live: int) -> Union[Matching, CrownDeco
     if len(maximal) >= k:
         return maximal[:k]
 
-    saturated = {v for e in maximal for v in e}
-    independent_mask = live & ~mask_of(saturated)
-    independent = members(independent_mask)
+    saturated = mask_of(v for e in maximal for v in e)
+    independent = live & ~saturated
     cross = max_bipartite_matching(g, saturated, independent)
     if len(cross) >= k:
         return cross[:k]
 
     cover = min_vertex_cover_bipartite(g, saturated, independent, cross)
-    head = frozenset(cover & saturated)
-    crown_mask = independent_mask & ~mask_of(cover)
+    head_mask = cover & saturated
+    crown_mask = independent & ~cover
+    head = frozenset(members(head_mask))
     crown = frozenset(members(crown_mask))
     if not head or not crown:
         raise CrownConstructionError(
             f"degenerate crown (|H|={len(head)}, |C|={len(crown)}) "
             f"on n={live.bit_count()}, k={k}"
         )
-    body = frozenset(members(live & ~mask_of(head) & ~crown_mask))
+    body = frozenset(members(live & ~head_mask & ~crown_mask))
     witness = tuple(sorted((a, b) for a, b in cross if a in head))
     dec = CrownDecomposition(crown=crown, head=head, body=body, witness=witness)
     reason = check_crown(g, dec, live)

@@ -1,11 +1,10 @@
-"""Exact solvers and definition-level oracles.
+"""Exact solvers.
 
 Covers the confusion-graph construction, exact independence and chromatic
 numbers (branch-and-bound with greedy-coloring bounds / DSATUR backtracking),
 minrank over prime fields via a row-space search with the diagonal normalized
-to ones, the explicit clique-cover constructions for index codes and
-representing matrices, and small brute-force oracles that restate the raw
-definitions.
+to ones, and the explicit clique-cover constructions for index codes and
+representing matrices.
 
 Storage capacity is never materialized as a floating-point logarithm: the
 solvers return the integer alpha(Conf_q(G)), and decisions compare it against
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .graph import (
     CliqueCover,
@@ -96,13 +95,6 @@ def vector_of(index: int, n: int, q: int) -> tuple[int, ...]:
         out.append(index % q)
         index //= q
     return tuple(out)
-
-
-def index_of(vector: Sequence[int], q: int) -> int:
-    idx = 0
-    for digit in reversed(vector):
-        idx = idx * q + digit
-    return idx
 
 
 def build_confusion_graph(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> ConfusionGraph:
@@ -570,45 +562,6 @@ def minrank(g: Graph, p: int, caps: Caps = DEFAULT_CAPS) -> int:
     return best
 
 
-def minrank_pattern_bruteforce(g: Graph, p: int) -> int:
-    """Minrank by plain enumeration of all diagonal-one representing matrices."""
-    if not is_prime(p):
-        raise ValueError(f"field modulus {p} is not prime")
-    n = g.n
-    if n == 0:
-        return 0
-    positions = [(i, j) for i in range(n) for j in range(n) if i != j and g.has_edge(i, j)]
-    best = n
-    for values in itertools.product(range(p), repeat=len(positions)):
-        entries = [[0] * n for _ in range(n)]
-        for i in range(n):
-            entries[i][i] = 1
-        for (i, j), value in zip(positions, values):
-            entries[i][j] = value
-        rank = gf_rank(GFMatrix(p, tuple(tuple(r) for r in entries)))
-        if rank < best:
-            best = rank
-    return best
-
-
-def minrank_full_bruteforce(g: Graph, p: int) -> int:
-    """Minrank by enumerating all p**(n*n) matrices; tiny n only."""
-    if not is_prime(p):
-        raise ValueError(f"field modulus {p} is not prime")
-    n = g.n
-    if n == 0:
-        return 0
-    best = n
-    for values in itertools.product(range(p), repeat=n * n):
-        entries = tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n))
-        mat = GFMatrix(p, entries)
-        if matrix_represents(mat, g):
-            rank = gf_rank(mat)
-            if rank < best:
-                best = rank
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Clique-cover constructions
 
@@ -655,73 +608,3 @@ def clique_cover_minrank_matrix(g: Graph, cover: CliqueCover, p: int) -> GFMatri
             for j in clique:
                 entries[i][j] = 1
     return GFMatrix(p, tuple(tuple(row) for row in entries))
-
-
-# ---------------------------------------------------------------------------
-# Definition-level brute-force oracles
-
-
-def oracle_storage_code(g: Graph, q: int) -> int:
-    """Largest code over [q]**n where every coordinate of every codeword is a
-    function of its neighborhood restriction; found by subset enumeration."""
-    size = q**g.n
-    if size > 8:
-        raise CapExceeded("storage oracle vector count", size, 8)
-    vectors = [vector_of(v, g.n, q) for v in range(size)]
-    neighborhoods = [g.neighbors(i) for i in range(g.n)]
-
-    def valid(members: list[int]) -> bool:
-        for a in range(len(members)):
-            x = vectors[members[a]]
-            for b in range(a + 1, len(members)):
-                y = vectors[members[b]]
-                for i in range(g.n):
-                    if x[i] != y[i] and all(x[j] == y[j] for j in neighborhoods[i]):
-                        return False
-        return True
-
-    best = 0
-    for subset in range(1 << size):
-        count = subset.bit_count()
-        if count > best and valid(list(bits(subset))):
-            best = count
-    return best
-
-
-def oracle_index_code(g: Graph, q: int = 2) -> int:
-    """Minimum index code length by exhausting encoders; n <= 3, q = 2 only.
-
-    Length n is always feasible (send everything), so only lengths below n
-    are searched.  Encoders are enumerated up to relabeling of the codeword
-    space by fixing E(0...0) = 0.
-    """
-    if q != 2:
-        raise CapExceeded("index code oracle alphabet", q, 2)
-    if g.n > 3:
-        raise CapExceeded("index code oracle vertex count", g.n, 3)
-    n = g.n
-    if n == 0:
-        return 0
-    size = 2**n
-    vectors = [vector_of(v, n, 2) for v in range(size)]
-    neighborhoods = [g.neighbors(i) for i in range(n)]
-
-    def decodable(encoding: Sequence[int]) -> bool:
-        for i in range(n):
-            seen: dict[tuple, int] = {}
-            for v in range(size):
-                x = vectors[v]
-                key = (encoding[v],) + tuple(x[j] for j in neighborhoods[i])
-                prev = seen.get(key)
-                if prev is None:
-                    seen[key] = x[i]
-                elif prev != x[i]:
-                    return False
-        return True
-
-    for ell in range(n):
-        codewords = 2**ell
-        for rest in itertools.product(range(codewords), repeat=size - 1):
-            if decodable((0,) + rest):
-                return ell
-    return n

@@ -204,33 +204,39 @@ def greedy_maximal_matching(g: Graph, live: int | None = None) -> Matching:
     return out
 
 
-def max_bipartite_matching(g: Graph, side_a: Iterable[int], side_b: Iterable[int]) -> Matching:
-    """Maximum matching between ``side_a`` and ``side_b``.
+def _check_sides(g: Graph, side_a: int, side_b: int) -> None:
+    """Raise GraphError unless the two vertex masks are disjoint sets of
+    vertices of ``g``."""
+    for side in (side_a, side_b):
+        if side >> g.n:  # a bit >= n, or a negative mask (which stays negative)
+            raise GraphError(f"bipartition side has a vertex outside [0, {g.n})")
+    if side_a & side_b:
+        raise GraphError("bipartition sides overlap")
+
+
+def max_bipartite_matching(g: Graph, side_a: int, side_b: int) -> Matching:
+    """Maximum matching between the vertex masks ``side_a`` and ``side_b``.
 
     Only edges with one endpoint in each side are considered.  Uses repeated
     augmenting-path search, scanning both sides lowest-id-first.  The search
     is a depth-first walk on an explicit stack, so long alternating paths
     cannot exhaust the interpreter's recursion limit.  Returned edges are
-    (a, b) pairs with a on the A side.
+    (a, b) pairs with a on the A side, in ascending order of a.
     """
-    a_list = sorted(set(side_a))
-    b_set = frozenset(side_b)
-    if b_set & set(a_list):
-        raise GraphError("bipartition sides overlap")
-    b_mask = mask_of(b_set)
+    _check_sides(g, side_a, side_b)
     match_of: dict[int, int] = {}
 
     def augment(root: int) -> None:
-        visited: set[int] = set()
+        visited = 0
         # stack[i] is an A vertex of the alternating path with the iterator
         # over its untried B neighbors; path[i] is the B vertex it tries.
-        stack = [(root, bits(g.adj[root] & b_mask))]
+        stack = [(root, bits(g.adj[root] & side_b))]
         path: list[int] = []
         while stack:
             for b in stack[-1][1]:
-                if b in visited:
+                if (visited >> b) & 1:
                     continue
-                visited.add(b)
+                visited |= 1 << b
                 path.append(b)
                 if b not in match_of:
                     for (a_i, _), b_i in zip(stack, path):
@@ -238,62 +244,56 @@ def max_bipartite_matching(g: Graph, side_a: Iterable[int], side_b: Iterable[int
                         match_of[a_i] = b_i
                     return
                 partner = match_of[b]
-                stack.append((partner, bits(g.adj[partner] & b_mask)))
+                stack.append((partner, bits(g.adj[partner] & side_b)))
                 break
             else:
                 stack.pop()
                 if path:
                     path.pop()
 
+    a_list = members(side_a)
     for a in a_list:
         augment(a)
     return [(a, match_of[a]) for a in a_list if a in match_of]
 
 
-def min_vertex_cover_bipartite(
-    g: Graph, side_a: Iterable[int], side_b: Iterable[int], matching: Matching
-) -> set[int]:
-    """Minimum vertex cover of the A-B edges from a maximum matching (Koenig).
+def min_vertex_cover_bipartite(g: Graph, side_a: int, side_b: int, matching: Matching) -> int:
+    """Minimum vertex cover of the A-B edges from a maximum matching (Koenig),
+    as a vertex mask.
 
     The construction takes alternating-path reachability Z from the unmatched
     A-vertices and returns (A \\ Z) | (B & Z).  If the input matching was not
     maximum, the Koenig equality |cover| == |matching| fails and a GraphError
     is raised.
     """
-    a_set = set(side_a)
-    b_set = set(side_b)
-    if a_set & b_set:
-        raise GraphError("bipartition sides overlap")
-    b_mask = mask_of(b_set)
-    match_a: dict[int, int] = {}
+    _check_sides(g, side_a, side_b)
+    matched_a = 0
     match_b: dict[int, int] = {}
     for u, v in matching:
-        if u in a_set and v in b_set:
+        if u >= 0 and v >= 0 and (side_a >> u) & 1 and (side_b >> v) & 1:
             a, b = u, v
-        elif v in a_set and u in b_set:
+        elif u >= 0 and v >= 0 and (side_a >> v) & 1 and (side_b >> u) & 1:
             a, b = v, u
         else:
             raise GraphError(f"matching edge ({u}, {v}) does not cross the bipartition")
-        match_a[a] = b
+        matched_a |= 1 << a
         match_b[b] = a
 
-    reached = {a for a in a_set if a not in match_a}
-    frontier = sorted(reached)
+    reached = side_a & ~matched_a
+    frontier = members(reached)
     while frontier:
         nxt: list[int] = []
         for a in frontier:
-            for b in bits(g.adj[a] & b_mask):
-                if b in reached:
-                    continue
-                reached.add(b)
+            for b in bits(g.adj[a] & side_b & ~reached):
+                reached |= 1 << b
                 partner = match_b.get(b)
-                if partner is not None and partner not in reached:
-                    reached.add(partner)
+                if partner is not None and not (reached >> partner) & 1:
+                    reached |= 1 << partner
                     nxt.append(partner)
         frontier = nxt
 
-    cover = (a_set - reached) | (b_set & reached)
-    if len(cover) != len(matching):
+    cover = (side_a & ~reached) | (side_b & reached)
+    if cover.bit_count() != len(matching):
         raise GraphError("Koenig equality failed: matching is not maximum")
     return cover
 

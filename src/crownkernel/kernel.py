@@ -225,9 +225,12 @@ def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
                 return "isolated-step-vertex-not-isolated"
             dual_offset += len(step.vertices)
         else:
-            masks = [_step_mask(g, part, live) for part in (step.crown, step.head, step.body)]
+            parts = (step.crown, step.head, step.body)
+            masks = [_step_mask(g, part, live) for part in parts]
             if None in masks:
                 return "crown-step-unknown-vertex"
+            if any(mask.bit_count() != len(part) for mask, part in zip(masks, parts)):
+                return "crown-step-duplicate-vertex"
             crown, head, body = masks
             if (
                 not crown
@@ -239,7 +242,7 @@ def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
             outside_head = crown | body
             if any(g.adj[v] & outside_head for v in step.crown):
                 return "crown-step-separation-violated"
-            matching = max_bipartite_matching(g, step.head, step.crown)
+            matching = max_bipartite_matching(g, head, crown)
             if len(matching) != head.bit_count():
                 return "crown-step-no-head-matching"
             capacity_offset += head.bit_count()

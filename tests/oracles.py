@@ -1,0 +1,132 @@
+"""Definition-level brute-force oracles for the exact solvers.
+
+Each oracle restates a raw definition by exhaustive enumeration, so it runs
+only on a few vertices; the tests compare the solvers against them.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Sequence
+
+from crownkernel.exact import (
+    CapExceeded,
+    GFMatrix,
+    gf_rank,
+    is_prime,
+    matrix_represents,
+    vector_of,
+)
+from crownkernel.graph import Graph, bits
+
+
+def index_of(vector: Sequence[int], q: int) -> int:
+    idx = 0
+    for digit in reversed(vector):
+        idx = idx * q + digit
+    return idx
+
+
+def minrank_pattern_bruteforce(g: Graph, p: int) -> int:
+    """Minrank by plain enumeration of all diagonal-one representing matrices."""
+    if not is_prime(p):
+        raise ValueError(f"field modulus {p} is not prime")
+    n = g.n
+    if n == 0:
+        return 0
+    positions = [(i, j) for i in range(n) for j in range(n) if i != j and g.has_edge(i, j)]
+    best = n
+    for values in itertools.product(range(p), repeat=len(positions)):
+        entries = [[0] * n for _ in range(n)]
+        for i in range(n):
+            entries[i][i] = 1
+        for (i, j), value in zip(positions, values):
+            entries[i][j] = value
+        rank = gf_rank(GFMatrix(p, tuple(tuple(r) for r in entries)))
+        if rank < best:
+            best = rank
+    return best
+
+
+def minrank_full_bruteforce(g: Graph, p: int) -> int:
+    """Minrank by enumerating all p**(n*n) matrices; tiny n only."""
+    if not is_prime(p):
+        raise ValueError(f"field modulus {p} is not prime")
+    n = g.n
+    if n == 0:
+        return 0
+    best = n
+    for values in itertools.product(range(p), repeat=n * n):
+        entries = tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n))
+        mat = GFMatrix(p, entries)
+        if matrix_represents(mat, g):
+            rank = gf_rank(mat)
+            if rank < best:
+                best = rank
+    return best
+
+
+def oracle_storage_code(g: Graph, q: int) -> int:
+    """Largest code over [q]**n where every coordinate of every codeword is a
+    function of its neighborhood restriction; found by subset enumeration."""
+    size = q**g.n
+    if size > 8:
+        raise CapExceeded("storage oracle vector count", size, 8)
+    vectors = [vector_of(v, g.n, q) for v in range(size)]
+    neighborhoods = [g.neighbors(i) for i in range(g.n)]
+
+    def valid(members: list[int]) -> bool:
+        for a in range(len(members)):
+            x = vectors[members[a]]
+            for b in range(a + 1, len(members)):
+                y = vectors[members[b]]
+                for i in range(g.n):
+                    if x[i] != y[i] and all(x[j] == y[j] for j in neighborhoods[i]):
+                        return False
+        return True
+
+    best = 0
+    for subset in range(1 << size):
+        count = subset.bit_count()
+        if count > best and valid(list(bits(subset))):
+            best = count
+    return best
+
+
+def oracle_index_code(g: Graph, q: int = 2) -> int:
+    """Minimum index code length by exhausting encoders; n <= 3, q = 2 only.
+
+    Length n is always feasible (send everything), so only lengths below n
+    are searched.  Encoders are enumerated up to relabeling of the codeword
+    space by fixing E(0...0) = 0.
+    """
+    if q != 2:
+        raise CapExceeded("index code oracle alphabet", q, 2)
+    if g.n > 3:
+        raise CapExceeded("index code oracle vertex count", g.n, 3)
+    n = g.n
+    if n == 0:
+        return 0
+    size = 2**n
+    vectors = [vector_of(v, n, 2) for v in range(size)]
+    neighborhoods = [g.neighbors(i) for i in range(n)]
+
+    def decodable(encoding: Sequence[int]) -> bool:
+        for i in range(n):
+            seen: dict[tuple, int] = {}
+            for v in range(size):
+                x = vectors[v]
+                key = (encoding[v],) + tuple(x[j] for j in neighborhoods[i])
+                prev = seen.get(key)
+                if prev is None:
+                    seen[key] = x[i]
+                elif prev != x[i]:
+                    return False
+        return True
+
+    for ell in range(n):
+        codewords = 2**ell
+        for rest in itertools.product(range(codewords), repeat=size - 1):
+            if decodable((0,) + rest):
+                return ell
+    return n

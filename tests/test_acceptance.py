@@ -20,10 +20,6 @@ from crownkernel.exact import (
     index_coding_length,
     matrix_represents,
     minrank,
-    minrank_full_bruteforce,
-    minrank_pattern_bruteforce,
-    oracle_index_code,
-    oracle_storage_code,
     storage_capacity_alpha,
 )
 from crownkernel.generators import gen_crown_planted, gen_gnp, gen_star
@@ -35,6 +31,12 @@ from crownkernel.pipeline import (
 )
 
 from conftest import all_labeled_graphs
+from oracles import (
+    minrank_full_bruteforce,
+    minrank_pattern_bruteforce,
+    oracle_index_code,
+    oracle_storage_code,
+)
 
 
 @contextlib.contextmanager

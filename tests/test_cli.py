@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from crownkernel import Graph, kernelize, verify_crown
+from crownkernel import Graph, check_crown, kernelize
 from crownkernel.cli import main
 from crownkernel.formats import (
     FormatError,
@@ -156,9 +156,20 @@ class TestGenAndVerify:
         ) == 0
         g = parse_dimacs(open(out).read())
         dec = crown_from_dict(json.loads(open(out + ".crown.json").read()))
-        assert verify_crown(g, dec)
+        assert check_crown(g, dec) is None
         assert main(["verify", out, out + ".crown.json"]) == 0
         assert capsys.readouterr().out.strip() == "OK"
+
+    def test_crown_sidecar_failure_names_the_reason(self, tmp_path, capsys):
+        # Star 0-{1, 2, 3} with centre and leaf swapped: crown {0} has an
+        # edge into the body {2, 3}.
+        out = str(tmp_path / "s.col")
+        assert main(["gen", "star", "--n", "4", "--out", out]) == 0
+        sidecar = tmp_path / "s.crown.json"
+        sidecar.write_text(json.dumps({"C": [0], "H": [1], "R": [2, 3], "witness": [[1, 0]]}))
+        capsys.readouterr()
+        assert main(["verify", out, str(sidecar)]) == 1
+        assert capsys.readouterr().out.strip() == "FAIL: crown-body-edge"
 
     def test_crown_planted_requires_out(self):
         assert main(["gen", "crown-planted", "--c", "2", "--h", "1", "--r", "1"]) == 2
@@ -175,23 +186,3 @@ class TestGenAndVerify:
         assert main(["verify", star_file, str(trace_path)]) == 1
         assert capsys.readouterr().out.startswith("FAIL")
 
-
-class TestBench:
-    def test_rows_respect_kernel_bound(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(
-            ["bench", "--family", "gnp", "--n", "20,30", "--prob", "0.1",
-             "--k", "2,4", "--seeds", "2", "--out", str(out)]
-        ) == 0
-        import csv
-
-        rows = list(csv.DictReader(out.read_text().splitlines()))
-        assert len(rows) == 2 * 2 * 2
-        for row in rows:
-            assert int(row["kernel_n"]) <= max(3 * int(row["kernel_k"]) - 3, 0)
-
-    def test_empty_grid_header_only(self, tmp_path):
-        out = tmp_path / "empty.csv"
-        assert main(["bench", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("family,")

@@ -18,22 +18,24 @@ from crownkernel.exact import (
     gf_rank,
     independence_number,
     index_coding_length,
-    index_of,
     is_colorable,
     is_prime,
     matrix_represents,
     max_clique,
     minrank,
-    minrank_full_bruteforce,
-    minrank_pattern_bruteforce,
-    oracle_index_code,
-    oracle_storage_code,
     storage_capacity_alpha,
     vector_of,
 )
 from crownkernel.graph import greedy_clique_cover
 
 from conftest import all_labeled_graphs, complete, empty, path, random_graph, star
+from oracles import (
+    index_of,
+    minrank_full_bruteforce,
+    minrank_pattern_bruteforce,
+    oracle_index_code,
+    oracle_storage_code,
+)
 
 
 def cycle(n):

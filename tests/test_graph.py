@@ -166,18 +166,24 @@ class TestGreedyMaximalMatching:
 class TestBipartiteMatching:
     def test_complete_bipartite(self):
         g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        assert len(max_bipartite_matching(g, {0, 1}, {2, 3})) == 2
+        assert len(max_bipartite_matching(g, 0b0011, 0b1100)) == 2
 
     def test_star_center_on_a_side(self):
         g = star(5)
-        assert len(max_bipartite_matching(g, {0}, {1, 2, 3, 4})) == 1
+        assert len(max_bipartite_matching(g, 0b00001, 0b11110)) == 1
 
     def test_no_edges(self):
-        assert max_bipartite_matching(empty(4), {0, 1}, {2, 3}) == []
+        assert max_bipartite_matching(empty(4), 0b0011, 0b1100) == []
 
     def test_overlapping_sides_rejected(self):
         with pytest.raises(GraphError):
-            max_bipartite_matching(path(3), {0, 1}, {1, 2})
+            max_bipartite_matching(path(3), 0b011, 0b110)
+
+    @pytest.mark.parametrize("side_a, side_b", [(-2, 0b001), (0b001, -2), (0b1000, 0b010)])
+    def test_out_of_range_sides_rejected(self, side_a, side_b):
+        # A negative mask or a bit >= n names no vertex of the path 0-1-2.
+        with pytest.raises(GraphError):
+            max_bipartite_matching(path(3), side_a, side_b)
 
     def test_long_alternating_path_does_not_recurse(self):
         # On a 3002-vertex path with A the even vertices, each new A vertex
@@ -185,17 +191,16 @@ class TestBipartiteMatching:
         # search walks back along the whole path.  A recursive search raised
         # RecursionError here.
         g = path(3002)
-        side_a = range(3000, -1, -2)
-        matching = max_bipartite_matching(g, side_a, range(1, 3002, 2))
+        side_a = mask_of(range(0, 3002, 2))
+        matching = max_bipartite_matching(g, side_a, mask_of(range(1, 3002, 2)))
         assert matching == [(a, a + 1) for a in range(0, 3002, 2)]
 
     @given(graphs(max_n=10), st.sets(st.integers(min_value=0, max_value=9)))
     def test_same_matching_as_recursive_search(self, g, side_a):
         side_a = {v for v in side_a if v < g.n}
         side_b = set(range(g.n)) - side_a
-        assert max_bipartite_matching(g, side_a, side_b) == recursive_matching(
-            g, side_a, side_b
-        )
+        matching = max_bipartite_matching(g, mask_of(side_a), mask_of(side_b))
+        assert matching == recursive_matching(g, side_a, side_b)
 
 
 def recursive_matching(g, side_a, side_b):
@@ -222,17 +227,30 @@ def recursive_matching(g, side_a, side_b):
 class TestKoenigCover:
     def test_complete_bipartite(self):
         g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        m = max_bipartite_matching(g, {0, 1}, {2, 3})
-        cover = min_vertex_cover_bipartite(g, {0, 1}, {2, 3}, m)
-        assert len(cover) == 2
+        m = max_bipartite_matching(g, 0b0011, 0b1100)
+        cover = min_vertex_cover_bipartite(g, 0b0011, 0b1100, m)
+        assert cover.bit_count() == 2
 
     def test_star(self):
         g = star(5)
-        m = max_bipartite_matching(g, {0}, {1, 2, 3, 4})
-        assert min_vertex_cover_bipartite(g, {0}, {1, 2, 3, 4}, m) == {0}
+        m = max_bipartite_matching(g, 0b00001, 0b11110)
+        assert min_vertex_cover_bipartite(g, 0b00001, 0b11110, m) == 0b00001
 
     def test_edgeless(self):
-        assert min_vertex_cover_bipartite(empty(4), {0, 1}, {2, 3}, []) == set()
+        assert min_vertex_cover_bipartite(empty(4), 0b0011, 0b1100, []) == 0
+
+    @pytest.mark.parametrize(
+        "side_a, side_b, matching",
+        [(-2, 0b001, [(1, 0)]), (0b001, -2, [(0, 1)]), (0b1000, 0b010, [])],
+    )
+    def test_out_of_range_sides_rejected(self, side_a, side_b, matching):
+        with pytest.raises(GraphError):
+            min_vertex_cover_bipartite(path(3), side_a, side_b, matching)
+
+    @pytest.mark.parametrize("edge", [(1, 2), (-1, 1)])
+    def test_matching_edge_outside_the_sides_rejected(self, edge):
+        with pytest.raises(GraphError):
+            min_vertex_cover_bipartite(path(3), 0b001, 0b010, [edge])
 
     def test_koenig_equality_random(self):
         rng = random.Random(2)
@@ -244,8 +262,9 @@ class TestKoenigCover:
                 (a, b) for a in side_a for b in side_b if rng.random() < rng.random()
             ]
             g = Graph.from_edges(na + nb, edges)
-            m = max_bipartite_matching(g, side_a, side_b)
-            cover = min_vertex_cover_bipartite(g, side_a, side_b, m)
+            a_mask, b_mask = mask_of(side_a), mask_of(side_b)
+            m = max_bipartite_matching(g, a_mask, b_mask)
+            cover = set(members(min_vertex_cover_bipartite(g, a_mask, b_mask, m)))
             assert len(cover) == len(m)
             for u, v in edges:
                 assert u in cover or v in cover

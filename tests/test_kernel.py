@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -280,6 +281,17 @@ class TestVerifyTraceMalformedSteps:
         g = empty(2)
         steps = [IsolatedRemoval((0, 0, 1))]
         assert verify_trace(g, self._trace(g, steps, 0, 3)) == "isolated-step-duplicate-vertex"
+
+    def test_duplicate_crown_vertex_is_rejected(self):
+        # K_{1,5} (centre 0) plus the edge 6-7; a crown vertex listed twice
+        # would pass every count and then fail lift_value.
+        g = Graph.from_edges(8, [(0, v) for v in range(1, 6)] + [(6, 7)])
+        _, _, trace = kernelize(g, None, 2)
+        step = trace.steps[0]
+        assert step == CrownReduction(crown=(2, 3, 4, 5), head=(0,), body=(1, 6, 7))
+        forged = dataclasses.replace(step, crown=step.crown + (2,))
+        bad = dataclasses.replace(trace, steps=(forged,) + trace.steps[1:])
+        assert verify_trace(g, bad) == "crown-step-duplicate-vertex"
 
 
 class TestLiveMaskReduction:
