@@ -10,7 +10,9 @@ may not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from functools import reduce
+from operator import or_
+from typing import NamedTuple, Union
 
 from .graph import (
     Graph,
@@ -46,39 +48,75 @@ class CrownDecomposition:
 def check_crown(g: Graph, dec: CrownDecomposition, live: int | None = None) -> str | None:
     """Return None if ``dec`` is a valid crown decomposition of the subgraph
     of ``g`` induced by ``live`` (default: all of ``g``), otherwise a short
-    reason code describing the violated clause."""
-    crown, head, body = dec.crown, dec.head, dec.body
-    if not crown:
-        return "empty-crown"
-    if not head:
-        return "empty-head"
+    reason code describing the violated clause.
+
+    The clauses are checked in this order: empty-crown, empty-head,
+    not-a-partition, then crown-not-independent and crown-body-edge, then
+    witness-size, witness-not-a-matching-of-head-into-crown and
+    witness-edges-invalid.  When several crown vertices break the
+    independence or separation clause, the lowest-id one names the reason,
+    and on one vertex crown-not-independent wins.
+    """
     if live is None:
         live = all_vertices(g)
-    crown_mask, head_mask, body_mask = (vertex_mask(g, part) for part in (crown, head, body))
+    crown, head, body = (vertex_mask(g, part) for part in (dec.crown, dec.head, dec.body))
+    return _crown_reason(g, crown, head, body, live, dec.witness)
+
+
+def _crown_reason(
+    g: Graph,
+    crown: int | None,
+    head: int | None,
+    body: int | None,
+    live: int,
+    witness: tuple[tuple[int, int], ...],
+) -> str | None:
+    """``check_crown`` on the three parts as vertex masks; a part is None
+    when it names an id that is not a vertex of ``g``."""
+    if crown == 0:
+        return "empty-crown"
+    if head == 0:
+        return "empty-head"
     if (
-        crown_mask is None
-        or head_mask is None
-        or body_mask is None
-        or len(crown) + len(head) + len(body) != live.bit_count()
-        or crown_mask | head_mask | body_mask != live
+        crown is None
+        or head is None
+        or body is None
+        or crown.bit_count() + head.bit_count() + body.bit_count() != live.bit_count()
+        or crown | head | body != live
     ):
         return "not-a-partition"
 
-    for v in crown:
-        if g.adj[v] & crown_mask:
-            return "crown-not-independent"
-        if g.adj[v] & body_mask:
-            return "crown-body-edge"
+    crown_ids = members(crown)
+    if reduce(or_, map(g.adj.__getitem__, crown_ids), 0) & (crown | body):
+        for v in crown_ids:
+            if g.adj[v] & crown:
+                return "crown-not-independent"
+            if g.adj[v] & body:
+                return "crown-body-edge"
 
-    if len(dec.witness) != len(head):
+    if len(witness) != head.bit_count():
         return "witness-size"
-    heads = {h for h, _ in dec.witness}
-    crowns = {c for _, c in dec.witness}
-    if heads != set(head) or len(crowns) != len(head) or not crowns <= crown:
+    witness_heads = vertex_mask(g, [h for h, _ in witness])
+    witness_crowns = vertex_mask(g, [c for _, c in witness])
+    if (
+        witness_heads != head
+        or witness_crowns is None
+        or witness_crowns.bit_count() != len(witness)
+        or witness_crowns & ~crown
+    ):
         return "witness-not-a-matching-of-head-into-crown"
-    if not matching_is_valid(g, [tuple(e) for e in dec.witness]):
+    if not matching_is_valid(g, [tuple(e) for e in witness]):
         return "witness-edges-invalid"
     return None
+
+
+class _CrownMasks(NamedTuple):
+    """A crown decomposition as vertex masks, with its H-into-C witness."""
+
+    crown: int
+    head: int
+    body: int
+    witness: tuple[tuple[int, int], ...]
 
 
 def find_crown_or_matching(
@@ -104,12 +142,20 @@ def find_crown_or_matching(
         raise ValueError(f"graph has {n} < 3k-2 = {3 * k - 2} vertices")
     if isolated_vertices(g, live):
         raise ValueError("graph has isolated vertices")
-    return _crown_or_matching(g, k, live)
+    result = _crown_or_matching(g, k, live)
+    if isinstance(result, list):
+        return result
+    return CrownDecomposition(
+        crown=frozenset(members(result.crown)),
+        head=frozenset(members(result.head)),
+        body=frozenset(members(result.body)),
+        witness=result.witness,
+    )
 
 
-def _crown_or_matching(g: Graph, k: int, live: int) -> Union[Matching, CrownDecomposition]:
+def _crown_or_matching(g: Graph, k: int, live: int) -> Union[Matching, _CrownMasks]:
     """``find_crown_or_matching`` for callers that have already established
-    its preconditions on ``live``."""
+    its preconditions on ``live``; a crown comes back as masks."""
     maximal = greedy_maximal_matching(g, live)
     if len(maximal) >= k:
         return maximal[:k]
@@ -121,19 +167,16 @@ def _crown_or_matching(g: Graph, k: int, live: int) -> Union[Matching, CrownDeco
         return cross[:k]
 
     cover = min_vertex_cover_bipartite(g, saturated, independent, cross)
-    head_mask = cover & saturated
-    crown_mask = independent & ~cover
-    head = frozenset(members(head_mask))
-    crown = frozenset(members(crown_mask))
+    head = cover & saturated
+    crown = independent & ~cover
     if not head or not crown:
         raise CrownConstructionError(
-            f"degenerate crown (|H|={len(head)}, |C|={len(crown)}) "
+            f"degenerate crown (|H|={head.bit_count()}, |C|={crown.bit_count()}) "
             f"on n={live.bit_count()}, k={k}"
         )
-    body = frozenset(members(live & ~head_mask & ~crown_mask))
-    witness = tuple(sorted((a, b) for a, b in cross if a in head))
-    dec = CrownDecomposition(crown=crown, head=head, body=body, witness=witness)
-    reason = check_crown(g, dec, live)
+    body = live & ~head & ~crown
+    witness = tuple(sorted((a, b) for a, b in cross if (head >> a) & 1))
+    reason = _crown_reason(g, crown, head, body, live, witness)
     if reason is not None:
         raise CrownConstructionError(f"constructed crown failed verification: {reason}")
-    return dec
+    return _CrownMasks(crown, head, body, witness)

@@ -25,15 +25,48 @@ class FormatError(ValueError):
 
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS edge format in one pass; every edge is checked as it is
-    read, so the adjacency is valid by construction."""
+    read, so the adjacency is valid by construction.
+
+    The pass also counts the distinct edges, which seeds ``Graph.m``.  A
+    vertex's first neighbor set is the ``1 << v`` of that neighbor itself,
+    one int per id shared by all its neighbors, so a sparse vertex with a
+    high-id neighbor allocates no int of its own.
+    """
     n = None
     adj: list[int] = []
+    one_bit: list[int] = []  # one_bit[v] is 1 << v once made, else 0
+    m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "p":
+        if fields[0] == "e":
+            if n is None:
+                raise FormatError(f"line {lineno}: edge before problem line")
+            if len(fields) != 3:
+                raise FormatError(f"line {lineno}: expected 'e u v'")
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: bad edge line") from exc
+            if not (1 <= u <= n and 1 <= v <= n) or u == v:
+                raise FormatError(f"line {lineno}: edge ({u}, {v}) out of range")
+            u -= 1
+            v -= 1
+            bit_v = one_bit[v]
+            if not bit_v:
+                bit_v = one_bit[v] = 1 << v
+            elif adj[u] & bit_v:
+                continue  # a duplicate edge
+            bit_u = one_bit[u]
+            if not bit_u:
+                bit_u = one_bit[u] = 1 << u
+            adj[u] = adj[u] | bit_v if adj[u] else bit_v
+            adj[v] = adj[v] | bit_u if adj[v] else bit_u
+            m += 1
+        elif fields[0].startswith("c"):
+            continue
+        elif fields[0] == "p":
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate problem line")
             if len(fields) != 4 or fields[1] != "edge":
@@ -46,24 +79,12 @@ def parse_dimacs(text: str) -> Graph:
             if n < 0:
                 raise FormatError(f"line {lineno}: negative vertex count")
             adj = [0] * n
-        elif fields[0] == "e":
-            if n is None:
-                raise FormatError(f"line {lineno}: edge before problem line")
-            if len(fields) != 3:
-                raise FormatError(f"line {lineno}: expected 'e u v'")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: bad edge line") from exc
-            if not (1 <= u <= n and 1 <= v <= n) or u == v:
-                raise FormatError(f"line {lineno}: edge ({u}, {v}) out of range")
-            adj[u - 1] |= 1 << (v - 1)  # duplicates collapse in the bitmask
-            adj[v - 1] |= 1 << (u - 1)
+            one_bit = [0] * n
         else:
             raise FormatError(f"line {lineno}: unknown record {fields[0]!r}")
     if n is None:
         raise FormatError("missing 'p edge' line")
-    return Graph._trusted(n, tuple(adj))
+    return Graph._trusted(n, tuple(adj), m)
 
 
 def write_dimacs(g: Graph) -> str:
@@ -153,6 +174,14 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise FormatError(f"{where}: missing fields {sorted(missing)}")
 
 
+def _vertex_list(obj: dict, key: str, where: str) -> list:
+    """The vertex list ``obj[key]``, which must be a JSON list."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise FormatError(f"{where}: {key!r} must be a list")
+    return value
+
+
 def trace_to_dict(trace: ReductionTrace, answer: bool | None = None) -> dict:
     steps = []
     for step in trace.steps:
@@ -198,14 +227,11 @@ def trace_from_dict(obj: dict) -> ReductionTrace:
             raise FormatError(f"{where}: missing kind")
         if step["kind"] == "isolated":
             _require_keys(step, {"kind", "vertices"}, {"kind", "vertices"}, where)
-            steps.append(IsolatedRemoval(tuple(step["vertices"])))
+            steps.append(IsolatedRemoval(tuple(_vertex_list(step, "vertices", where))))
         elif step["kind"] == "crown":
             _require_keys(step, {"kind", "H", "C", "R"}, {"kind", "H", "C", "R"}, where)
-            steps.append(
-                CrownReduction(
-                    crown=tuple(step["C"]), head=tuple(step["H"]), body=tuple(step["R"])
-                )
-            )
+            crown, head, body = (tuple(_vertex_list(step, key, where)) for key in ("C", "H", "R"))
+            steps.append(CrownReduction(crown=crown, head=head, body=body))
         else:
             raise FormatError(f"{where}: unknown kind {step['kind']!r}")
     return ReductionTrace(
@@ -235,13 +261,30 @@ def crown_to_dict(dec: CrownDecomposition) -> dict:
     }
 
 
+def _is_vertex_id(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def crown_from_dict(obj: dict) -> CrownDecomposition:
+    """Read a crown file.  ``C``, ``H`` and ``R`` must be lists of distinct
+    integers and ``witness`` a list of integer pairs; whether they are
+    vertices of the graph is ``check_crown``'s question."""
     if not isinstance(obj, dict):
         raise FormatError("crown JSON must be an object")
     _require_keys(obj, {"C", "H", "R", "witness"}, {"C", "H", "R", "witness"}, "crown")
+    parts = []
+    for key in ("C", "H", "R"):
+        ids = _vertex_list(obj, key, "crown")
+        if not all(map(_is_vertex_id, ids)):
+            raise FormatError(f"crown: {key!r} must list integer vertex ids")
+        if len(set(ids)) != len(ids):
+            raise FormatError(f"crown: {key!r} lists a vertex twice")
+        parts.append(frozenset(ids))
+    witness = _vertex_list(obj, "witness", "crown")
+    for idx, edge in enumerate(witness):
+        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_vertex_id, edge))):
+            raise FormatError(f"crown: 'witness'[{idx}] must be a pair of integer vertex ids")
+    crown, head, body = parts
     return CrownDecomposition(
-        crown=frozenset(obj["C"]),
-        head=frozenset(obj["H"]),
-        body=frozenset(obj["R"]),
-        witness=tuple(tuple(edge) for edge in obj["witness"]),
+        crown=crown, head=head, body=body, witness=tuple(tuple(edge) for edge in witness)
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import not_
 from typing import Collection, Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -30,16 +32,26 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def members(mask: int) -> list[int]:
     """The set bit positions of ``mask`` in ascending order.
 
-    Scans the binary string once, so the cost is linear in the mask's length
-    plus its population; ``bits`` peels one bit at a time and is quadratic
-    on large dense masks such as the live vertex set of a big graph.
+    Scans the binary string once, so the cost is linear in the mask's length;
+    ``bits`` peels one bit at a time and is quadratic on large dense masks
+    such as the live vertex set of a big graph.  A mask with at least one bit
+    set in eight turns the string into 0/1 flag bytes and selects the
+    positions in C, with no interpreter step per member.  A sparser one, such
+    as a few high-id heads, finds each 1 in turn instead, because the C
+    selection makes an int for every position it passes.
     """
     if not mask & (mask + 1):  # all of 0 .. bit_length - 1
         return list(range(mask.bit_length()))
     digits = bin(mask)[:1:-1]
+    if mask.bit_count() * 8 >= len(digits):
+        flags = digits.encode().translate(_DIGIT_FLAGS)
+        return list(compress(range(len(flags)), flags))
     out = []
     pos = digits.find("1")
     while pos >= 0:
@@ -49,10 +61,24 @@ def members(mask: int) -> list[int]:
 
 
 def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+    """The mask with the bits of ``vertices`` set.
+
+    Each ``|= 1 << v`` copies the whole mask so far, so from 32 ids on the
+    mask is built from a digit string instead, in time linear in the largest
+    id.  A negative id raises ValueError and a non-integer one TypeError.
+    """
+    ids = vertices if isinstance(vertices, (list, tuple)) else list(vertices)
+    if len(ids) < 32:
+        m = 0
+        for v in ids:
+            m |= 1 << v
+        return m
+    if min(ids) < 0:
+        raise ValueError("negative vertex id")
+    digits = bytearray(b"0") * (max(ids) + 1)
+    for v in ids:
+        digits[v] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -86,11 +112,17 @@ class Graph:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
-    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """Build a graph without validation; ``adj`` must already be valid."""
+    def _trusted(cls, n: int, adj: tuple[int, ...], m: int | None = None) -> "Graph":
+        """Build a graph without validation; ``adj`` must already be valid.
+
+        A builder that has counted the edges passes ``m``, which then seeds
+        the cached edge count instead of a popcount over every neighbor set.
+        """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", adj)
+        if m is not None:
+            object.__setattr__(g, "m", m)
         return g
 
     @classmethod
@@ -182,25 +214,33 @@ def vertex_mask(g: Graph, vertices: Collection[int]) -> int | None:
 def isolated_vertices(g: Graph, live: int | None = None) -> set[int]:
     """Vertices of ``live`` (default: all) with no neighbor in ``live``."""
     if live is None or live == all_vertices(g):
-        return {v for v in range(g.n) if g.adj[v] == 0}
+        return set(compress(range(g.n), map(not_, g.adj)))
     return {v for v in members(live) if not g.adj[v] & live}
 
 
 def greedy_maximal_matching(g: Graph, live: int | None = None) -> Matching:
     """Maximal matching of the subgraph induced by ``live`` (default: all),
-    obtained by scanning edges in ascending (u, v) order."""
+    obtained by scanning edges in ascending (u, v) order.
+
+    ``unmatched`` drops both ends of each matched edge.  Every live neighbor
+    of ``u`` below ``u`` is then matched already: an unmatched one would have
+    taken ``u`` when it was scanned.  So ``adj[u] & unmatched`` holds exactly
+    the free neighbors above ``u``, with no shift by ``u``.
+    """
     if live is None:
         live = all_vertices(g)
     unmatched = live
+    partners: set[int] = set()
     out: Matching = []
     for u in members(live):
-        if not (unmatched >> u) & 1:
+        if u in partners:
             continue
-        free = (g.adj[u] & unmatched) >> (u + 1)  # unmatched neighbors above u
+        free = g.adj[u] & unmatched
         if free:
-            v = u + (free & -free).bit_length()
+            v = (free & -free).bit_length() - 1
             out.append((u, v))
-            unmatched &= ~(1 << v)
+            partners.add(v)
+            unmatched ^= (1 << u) | (1 << v)
     return out
 
 

@@ -15,9 +15,11 @@ lift values computed on the reduced graph back to the input graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Literal, Union
 
-from .crown import CrownDecomposition, _crown_or_matching
+from .crown import _crown_or_matching
 from .graph import (
     Graph,
     K0,
@@ -106,29 +108,29 @@ def kernelize(g: Graph, k: int | None, q: int | None = None) -> tuple[Graph, int
     while value_mode or kk > 0:
         removed = isolated_vertices(g, live)
         if removed:
-            steps.append(IsolatedRemoval(tuple(sorted(removed))))
+            step = IsolatedRemoval(tuple(sorted(removed)))
+            steps.append(step)
             dual_offset += len(removed)
-            live &= ~mask_of(removed)
+            live &= ~mask_of(step.vertices)
         n = live.bit_count()
         target = (n + 2) // 3 if value_mode else kk
         if target < 1 or n < 3 * target - 2:
             break
         result = _crown_or_matching(g, target, live)
-        if not isinstance(result, CrownDecomposition):
+        if isinstance(result, list):  # a matching of size target
             short_circuit = not value_mode
             break
-        steps.append(
-            CrownReduction(
-                crown=tuple(sorted(result.crown)),
-                head=tuple(sorted(result.head)),
-                body=tuple(sorted(result.body)),
-            )
+        step = CrownReduction(
+            crown=tuple(members(result.crown)),
+            head=tuple(members(result.head)),
+            body=tuple(members(result.body)),
         )
-        capacity_offset += len(result.head)
-        dual_offset += len(result.crown)
-        live = mask_of(result.body)
+        steps.append(step)
+        capacity_offset += len(step.head)
+        dual_offset += len(step.crown)
+        live = result.body
         if not value_mode:
-            kk -= len(result.head)
+            kk -= len(step.head)
 
     if short_circuit or (not value_mode and kk <= 0):
         kernel, kk = K0, 0
@@ -221,7 +223,7 @@ def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
                 return "isolated-step-unknown-vertex"
             if removed.bit_count() != len(step.vertices):
                 return "isolated-step-duplicate-vertex"
-            if any(g.adj[v] & live for v in step.vertices):
+            if reduce(or_, map(g.adj.__getitem__, step.vertices), 0) & live:
                 return "isolated-step-vertex-not-isolated"
             dual_offset += len(step.vertices)
         else:
@@ -239,8 +241,7 @@ def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
                 or crown.bit_count() + head.bit_count() + body.bit_count() != live.bit_count()
             ):
                 return "crown-step-not-a-partition"
-            outside_head = crown | body
-            if any(g.adj[v] & outside_head for v in step.crown):
+            if reduce(or_, map(g.adj.__getitem__, step.crown), 0) & (crown | body):
                 return "crown-step-separation-violated"
             matching = max_bipartite_matching(g, head, crown)
             if len(matching) != head.bit_count():

@@ -1,7 +1,9 @@
 """Definition-level brute-force oracles for the exact solvers.
 
 Each oracle restates a raw definition by exhaustive enumeration, so it runs
-only on a few vertices; the tests compare the solvers against them.
+only on a few vertices; the tests compare the solvers against them.  The
+reference routines keep the plain form of a graph routine that was later
+rewritten for speed, and the tests require equal output from the two.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from crownkernel.exact import (
     matrix_represents,
     vector_of,
 )
-from crownkernel.graph import Graph, bits
+from crownkernel.graph import Graph, Matching, all_vertices, bits, members
 
 
 def index_of(vector: Sequence[int], q: int) -> int:
@@ -25,6 +27,25 @@ def index_of(vector: Sequence[int], q: int) -> int:
     for digit in reversed(vector):
         idx = idx * q + digit
     return idx
+
+
+def greedy_maximal_matching_reference(g: Graph, live: int | None = None) -> Matching:
+    """The greedy maximal matching as first written: one shift per scanned
+    vertex to test whether it is matched, and one to drop the neighbors
+    below it."""
+    if live is None:
+        live = all_vertices(g)
+    unmatched = live
+    out: Matching = []
+    for u in members(live):
+        if not (unmatched >> u) & 1:
+            continue
+        free = (g.adj[u] & unmatched) >> (u + 1)  # unmatched neighbors above u
+        if free:
+            v = u + (free & -free).bit_length()
+            out.append((u, v))
+            unmatched &= ~(1 << v)
+    return out
 
 
 def minrank_pattern_bruteforce(g: Graph, p: int) -> int:

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crownkernel import Graph, check_crown, kernelize
 from crownkernel.cli import main
@@ -39,9 +40,47 @@ class TestFormats:
         assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
 
     def test_dimacs_rejects_garbage(self):
-        for text in ("", "p edge x y\n", "p edge 2 1\ne 1 3\n", "e 1 2\n"):
-            with pytest.raises(FormatError):
+        # One case or more for each of the parser's ten errors, with the
+        # exact message and line number.
+        for text, message in [
+            ("p edge 2 0\nc\np edge 2 0\n", "line 3: duplicate problem line"),
+            ("p col 2 1\n", "line 1: expected 'p edge n m'"),
+            ("p edge 2\n", "line 1: expected 'p edge n m'"),
+            ("c x\n\np edge x y\n", "line 3: bad problem line"),
+            ("p edge 2 y\n", "line 1: bad problem line"),
+            ("p edge -1 0\n", "line 1: negative vertex count"),
+            ("\ne 1 2\n", "line 2: edge before problem line"),
+            ("p edge 2 1\ne 1\n", "line 2: expected 'e u v'"),
+            ("p edge 2 1\ne 1 2 3\n", "line 2: expected 'e u v'"),
+            ("p edge 2 1\n\n  e 1 x\n", "line 3: bad edge line"),
+            ("p edge 2 1\ne 1 3\n", "line 2: edge (1, 3) out of range"),
+            ("p edge 2 1\ne 0 1\n", "line 2: edge (0, 1) out of range"),
+            ("p edge 2 1\ne 1 2\ne 2 2\n", "line 3: edge (2, 2) out of range"),
+            ("p edge 2 1\nx 1 2\n", "line 2: unknown record 'x'"),
+            ("", "missing 'p edge' line"),
+            ("c only a comment\n", "missing 'p edge' line"),
+        ]:
+            with pytest.raises(FormatError) as info:
                 parse_dimacs(text)
+            assert str(info.value) == message
+
+    @given(st.data())
+    def test_dimacs_parse_equals_from_edges(self, data):
+        # Duplicates, reversed pairs, comments, blank lines and padding, in
+        # any order after the problem line.
+        n = data.draw(st.integers(min_value=0, max_value=80))
+        vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+        pairs = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+        edges = data.draw(st.lists(pairs, max_size=60)) if n >= 2 else []
+        repeats = data.draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+        lines = [f"e {u + 1} {v + 1}" for u, v in edges]
+        lines += [f"  e {v + 1}   {u + 1} " for u, v in repeats]
+        lines += data.draw(st.lists(st.sampled_from(["", "c", "c e 1 1", "   "]), max_size=8))
+        lines = data.draw(st.permutations(lines))
+        text = "\n".join(["c header", f"p edge {n} {len(edges)}"] + lines)
+        g = parse_dimacs(text)
+        assert g == Graph.from_edges(n, edges)
+        assert g.m == sum(map(int.bit_count, g.adj)) // 2 == len({frozenset(e) for e in edges})
 
     def test_json_rejects_unknown_keys(self):
         with pytest.raises(FormatError):
@@ -170,6 +209,45 @@ class TestGenAndVerify:
         capsys.readouterr()
         assert main(["verify", out, str(sidecar)]) == 1
         assert capsys.readouterr().out.strip() == "FAIL: crown-body-edge"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"C": 5}, "crown: 'C' must be a list"),
+            ({"H": 0}, "crown: 'H' must be a list"),
+            ({"C": [1, 1, 2, 3, 4, 5]}, "crown: 'C' lists a vertex twice"),
+            ({"C": [[1], 2, 3, 4, 5]}, "crown: 'C' must list integer vertex ids"),
+            ({"R": ["6"]}, "crown: 'R' must list integer vertex ids"),
+            ({"witness": [0]}, "crown: 'witness'[0] must be a pair of integer vertex ids"),
+        ],
+    )
+    def test_malformed_crown_file_is_a_usage_error(
+        self, star_file, tmp_path, capsys, fields, message
+    ):
+        # On K_{1,5} with centre 0, ({1..5}, {0}, {}) is a crown; each file
+        # breaks one field of it.
+        sidecar = tmp_path / "c.json"
+        sidecar.write_text(
+            json.dumps({"C": [1, 2, 3, 4, 5], "H": [0], "R": [], "witness": [[0, 1]], **fields})
+        )
+        assert main(["verify", star_file, str(sidecar)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    @pytest.mark.parametrize("index, key", [(0, "C"), (0, "H"), (0, "R"), (1, "vertices")])
+    def test_trace_vertex_list_that_is_no_list_is_a_usage_error(
+        self, star_file, tmp_path, capsys, index, key
+    ):
+        prefix = str(tmp_path / "out")
+        main(["kernelize", star_file, "--k", "2", "--out", prefix])
+        trace_path = tmp_path / "out.trace.json"
+        obj = json.loads(trace_path.read_text())
+        assert [step["kind"] for step in obj["steps"]] == ["crown", "isolated"]
+        obj["steps"][index][key] = 5
+        trace_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", star_file, str(trace_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: trace.steps[{index}]: {key!r} must be a list"
 
     def test_crown_planted_requires_out(self):
         assert main(["gen", "crown-planted", "--c", "2", "--h", "1", "--r", "1"]) == 2

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import crownkernel.crown
 from crownkernel import (
+    CrownConstructionError,
     CrownDecomposition,
     Graph,
     find_crown_or_matching,
@@ -71,6 +73,47 @@ class TestVerifyCrown:
         assert check_crown(g, dec, live=0b0111) is None
         assert check_crown(g, dec) == "not-a-partition"
 
+    def test_rejects_crown_crown_edge(self):
+        # Head 2 over the crown {0, 1}, which has the edge 0-1.
+        g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        assert check_crown(g, crown({0, 1}, {2}, set(), [(2, 0)])) == "crown-not-independent"
+
+    def test_rejects_witness_that_is_no_matching_of_head_into_crown(self):
+        # Star 0-{1..4} plus the edge 4-5, with crown {1, 2, 3}, head {0}.
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)])
+        for witness in ([(4, 1)], [(0, 4)], [(0, "1")], [(-1, 1)]):
+            dec = crown({1, 2, 3}, {0}, {4, 5}, witness)
+            assert check_crown(g, dec) == "witness-not-a-matching-of-head-into-crown"
+        # Two heads matched onto one crown vertex.
+        g = Graph.from_edges(4, [(0, 2), (1, 2), (0, 3), (1, 3)])
+        dec = crown({2, 3}, {0, 1}, set(), [(0, 2), (1, 2)])
+        assert check_crown(g, dec) == "witness-not-a-matching-of-head-into-crown"
+
+    def test_rejects_witness_pair_that_is_no_edge(self):
+        # Head 0 is adjacent to crown vertex 1 only; the pair (0, 2) is no edge.
+        g = Graph.from_edges(4, [(0, 1), (0, 3)])
+        dec = crown({1, 2}, {0}, {3}, [(0, 2)])
+        assert check_crown(g, dec) == "witness-edges-invalid"
+
+    @pytest.mark.parametrize(
+        "extra, reason",
+        [
+            # Vertex 1 has a body neighbor and vertices 8 and 9 an edge: 1 wins.
+            ([(1, 10), (8, 9)], "crown-body-edge"),
+            # Vertices 1 and 9 share an edge and vertex 8 has a body neighbor.
+            ([(1, 9), (8, 10)], "crown-not-independent"),
+            # Vertex 1 breaks both clauses.
+            ([(1, 10), (1, 9)], "crown-not-independent"),
+            ([(8, 10)], "crown-body-edge"),
+        ],
+    )
+    def test_lowest_offending_crown_vertex_names_the_reason(self, extra, reason):
+        # Crown {1, 8, 9} under head 0, body {10}.  A frozenset iterates 8
+        # before 1 here, so the rule cannot hold by accident of hash order.
+        g = Graph.from_edges(11, [(0, 1), (0, 8), (0, 9)] + extra)
+        dec = crown({1, 8, 9}, {0}, {2, 3, 4, 5, 6, 7, 10}, [(0, 1)])
+        assert check_crown(g, dec) == reason
+
     def test_rejects_empty_crown_or_head(self):
         g = star(4)
         assert check_crown(g, crown(set(), {0, 1, 2, 3}, set(), [])) == "empty-crown"
@@ -109,6 +152,14 @@ class TestFindCrownOrMatching:
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             find_crown_or_matching(g, 1)
+
+    def test_a_crown_that_fails_its_check_is_never_returned(self, monkeypatch):
+        # On K_{1,4} with k = 2 the Koenig cover is the centre {0}.  A wrong
+        # cover {1} would make the crown {2, 3, 4}, whose vertices all touch
+        # the body {0}; the routine's own check must stop it.
+        monkeypatch.setattr(crownkernel.crown, "min_vertex_cover_bipartite", lambda *args: 0b10)
+        with pytest.raises(CrownConstructionError, match="failed verification: crown-body-edge"):
+            find_crown_or_matching(star(5), 2)
 
     def test_random_instances_always_verify(self):
         rng = random.Random(99)

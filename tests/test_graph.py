@@ -16,6 +16,7 @@ from crownkernel import (
 )
 from crownkernel.exact import build_confusion_graph
 from crownkernel.formats import parse_dimacs, write_dimacs
+from crownkernel.generators import gen_crown_planted
 from crownkernel.graph import (
     all_vertices,
     bits,
@@ -23,9 +24,11 @@ from crownkernel.graph import (
     mask_of,
     matching_is_valid,
     members,
+    vertex_mask,
 )
 
 from conftest import complete, empty, path, random_graph, star
+from oracles import greedy_maximal_matching_reference
 
 
 @st.composite
@@ -151,6 +154,26 @@ class TestGreedyMaximalMatching:
             sub, _ = induced_subgraph(g, keep)
             expected = [(keep[u], keep[v]) for u, v in greedy_maximal_matching(sub)]
             assert greedy_maximal_matching(g, mask_of(keep)) == expected
+
+    def test_matches_the_reference_on_random_graphs(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(0, 100)
+            g = random_graph(rng, n, rng.choice([0.02, 0.05, 0.2, 0.6]))
+            live = mask_of([v for v in range(n) if rng.random() < 0.7])
+            assert greedy_maximal_matching(g) == greedy_maximal_matching_reference(g)
+            assert greedy_maximal_matching(g, live) == greedy_maximal_matching_reference(g, live)
+
+    def test_matches_the_reference_on_planted_hubs(self):
+        # Low-id crown leaves, high-id heads, as in the large hub graphs.
+        rng = random.Random(6)
+        for _ in range(100):
+            c, h, r = rng.randint(64, 200), rng.randint(1, 4), rng.randint(0, 6)
+            g, _ = gen_crown_planted(c, h, r, rng, rng.choice([0.01, 0.1, 0.3]))
+            g = parse_dimacs(write_dimacs(g))
+            live = mask_of([v for v in range(g.n) if rng.random() < 0.8])
+            assert greedy_maximal_matching(g) == greedy_maximal_matching_reference(g)
+            assert greedy_maximal_matching(g, live) == greedy_maximal_matching_reference(g, live)
 
     def test_maximality_random(self):
         rng = random.Random(1)
@@ -304,3 +327,42 @@ def test_members_matches_bits(vertices):
 def test_members_of_full_mask():
     assert members((1 << 5000) - 1) == list(range(5000))
     assert members(0) == []
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [],
+        [4999],
+        list(range(31)),
+        list(range(32)),
+        list(range(33)),
+        list(range(4000, 4000 + 3 * 31, 3)),
+        list(range(4000, 4000 + 3 * 32, 3)),
+        list(range(4000, 4000 + 3 * 33, 3)),
+        list(range(0, 800, 8)),
+        list(range(0, 900, 9)),
+        list(range(8001, 8006)),
+    ],
+)
+def test_mask_of_and_members_round_trip(vertices):
+    # 32 ids is where mask_of switches from shifts to a digit string, and
+    # one set bit in eight is where members switches between its scans.
+    mask = sum(1 << v for v in vertices)
+    shuffled = random.Random(len(vertices)).sample(vertices, len(vertices))
+    assert mask_of(vertices) == mask_of(shuffled + vertices[:3]) == mask_of(iter(vertices)) == mask
+    assert members(mask) == vertices
+
+
+@pytest.mark.parametrize("size", [1, 31, 32, 40])
+def test_mask_of_rejects_a_negative_id(size):
+    with pytest.raises(ValueError):
+        mask_of(list(range(size - 1)) + [-1])
+
+
+@pytest.mark.parametrize("size", [1, 31, 32, 40])
+@pytest.mark.parametrize("bad", [-1, 100, 10**30, "3", 2.0, None])
+def test_vertex_mask_refuses_ids_outside_the_graph(size, bad):
+    g = empty(100)
+    assert vertex_mask(g, list(range(size))) == (1 << size) - 1
+    assert vertex_mask(g, list(range(size - 1)) + [bad]) is None

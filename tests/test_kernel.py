@@ -28,7 +28,7 @@ from crownkernel.exact import (
 from crownkernel.generators import gen_crown_planted, gen_gnp
 from crownkernel.kernel import CrownReduction, IsolatedRemoval, ReductionTrace
 
-from conftest import all_labeled_graphs, complete, empty, random_graph, star
+from conftest import all_labeled_graphs, complete, empty, path, random_graph, star
 
 
 def isolated_rule(g):
@@ -271,6 +271,38 @@ class TestVerifyTraceMalformedSteps:
         assert verify_trace(g, self._trace(g, [isolated], 0, 1)) == "isolated-step-unknown-vertex"
         with pytest.raises(ValueError):
             replay_trace(g, self._trace(g, [isolated]))
+
+    def test_isolated_step_with_a_live_neighbor(self):
+        # Path 0-1-2: vertex 2 has the live neighbor 1.
+        g = path(3)
+        steps = [IsolatedRemoval((2,))]
+        assert verify_trace(g, self._trace(g, steps, 0, 1)) == "isolated-step-vertex-not-isolated"
+
+    def test_isolated_step_after_its_neighbors_are_gone(self):
+        # Star 0-{1, 2} plus the edge 3-4: the crown step ({1, 2}, {0}) leaves
+        # 1 and 2 removed, so none of 3, 4 is isolated yet.
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (3, 4)])
+        steps = [CrownReduction(crown=(1, 2), head=(0,), body=(3, 4)), IsolatedRemoval((3,))]
+        assert verify_trace(g, self._trace(g, steps, 1, 3)) == "isolated-step-vertex-not-isolated"
+        steps = [CrownReduction(crown=(1, 2), head=(0,), body=(3, 4))]
+        assert verify_trace(g, self._trace(g, steps, 1, 2)) is None
+
+    def test_crown_step_with_a_crown_body_edge(self):
+        # Star 0-{1, 2, 3} plus the edge 3-4: crown vertex 3 touches body vertex 4.
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        step = CrownReduction(crown=(1, 2, 3), head=(0,), body=(4,))
+        assert verify_trace(g, self._trace(g, [step], 1, 3)) == "crown-step-separation-violated"
+
+    def test_crown_step_with_a_crown_crown_edge(self):
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        step = CrownReduction(crown=(1, 2), head=(0,), body=(3,))
+        assert verify_trace(g, self._trace(g, [step], 1, 2)) == "crown-step-separation-violated"
+
+    def test_crown_step_whose_head_cannot_be_matched(self):
+        # Heads 0 and 1 both see only crown vertex 2.
+        g = Graph.from_edges(4, [(0, 2), (1, 2), (0, 3), (1, 3)])
+        step = CrownReduction(crown=(2,), head=(0, 1), body=(3,))
+        assert verify_trace(g, self._trace(g, [step], 2, 1)) == "crown-step-no-head-matching"
 
     def test_removed_vertex_is_unknown_to_later_steps(self):
         g = empty(2)
