@@ -10,8 +10,6 @@ may not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import NamedTuple, Union
 
 from .graph import (
@@ -25,6 +23,7 @@ from .graph import (
     members,
     max_bipartite_matching,
     min_vertex_cover_bipartite,
+    neighborhood,
     vertex_mask,
 )
 
@@ -87,7 +86,7 @@ def _crown_reason(
         return "not-a-partition"
 
     crown_ids = members(crown)
-    if reduce(or_, map(g.adj.__getitem__, crown_ids), 0) & (crown | body):
+    if neighborhood(g, crown_ids) & (crown | body):
         for v in crown_ids:
             if g.adj[v] & crown:
                 return "crown-not-independent"

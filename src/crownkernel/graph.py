@@ -10,9 +10,9 @@ lowest-id-first so every routine here is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
-from operator import not_
+from operator import not_, or_
 from typing import Collection, Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -32,26 +32,16 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
 def members(mask: int) -> list[int]:
     """The set bit positions of ``mask`` in ascending order.
 
-    Scans the binary string once, so the cost is linear in the mask's length;
-    ``bits`` peels one bit at a time and is quadratic on large dense masks
-    such as the live vertex set of a big graph.  A mask with at least one bit
-    set in eight turns the string into 0/1 flag bytes and selects the
-    positions in C, with no interpreter step per member.  A sparser one, such
-    as a few high-id heads, finds each 1 in turn instead, because the C
-    selection makes an int for every position it passes.
+    Scans the binary string once, so the cost is linear in the mask's length
+    plus its population; ``bits`` peels one bit at a time and is quadratic
+    on large dense masks such as the live vertex set of a big graph.
     """
     if not mask & (mask + 1):  # all of 0 .. bit_length - 1
         return list(range(mask.bit_length()))
     digits = bin(mask)[:1:-1]
-    if mask.bit_count() * 8 >= len(digits):
-        flags = digits.encode().translate(_DIGIT_FLAGS)
-        return list(compress(range(len(flags)), flags))
     out = []
     pos = digits.find("1")
     while pos >= 0:
@@ -60,25 +50,43 @@ def members(mask: int) -> list[int]:
     return out
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    """The mask with the bits of ``vertices`` set.
+# From this many ids on, a digit string builds a mask faster than one shift
+# per id.  Timed as best-of-7 thread CPU under CPython 3.11, on sorted and
+# shuffled ids, dense or below 8,001 or 20,001, the crossover lies between 128
+# and 384 ids, and at 256 neither way is more than 22% faster.  At 32 ids
+# below 8,001 the digit string takes 14 us against 2.5 us; at 5,563 ids it
+# takes 0.21 ms against 0.39-0.69 ms.
+_DIGIT_STRING_MIN_IDS = 256
 
-    Each ``|= 1 << v`` copies the whole mask so far, so from 32 ids on the
-    mask is built from a digit string instead, in time linear in the largest
-    id.  A negative id raises ValueError and a non-integer one TypeError.
+
+def _mask_upto(ids: Collection[int], top: int) -> int:
+    """The mask of the non-negative integers ``ids``, whose largest is ``top``.
+
+    Each ``|= 1 << v`` copies the whole mask so far, so a long list is built
+    from a digit string instead, in time linear in ``top``.
     """
-    ids = vertices if isinstance(vertices, (list, tuple)) else list(vertices)
-    if len(ids) < 32:
+    if len(ids) < _DIGIT_STRING_MIN_IDS:
         m = 0
         for v in ids:
             m |= 1 << v
         return m
-    if min(ids) < 0:
-        raise ValueError("negative vertex id")
-    digits = bytearray(b"0") * (max(ids) + 1)
+    digits = bytearray(b"0") * (top + 1)
     for v in ids:
         digits[v] = 49  # ord("1")
     return int(digits[::-1], 2)
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """The mask with the bits of ``vertices`` set.
+
+    A negative id raises ValueError and a non-integer one TypeError.
+    """
+    ids = vertices if isinstance(vertices, (list, tuple)) else list(vertices)
+    if not ids:
+        return 0
+    if min(ids) < 0:
+        raise ValueError("negative vertex id")
+    return _mask_upto(ids, max(ids))
 
 
 @dataclass(frozen=True)
@@ -196,6 +204,12 @@ def all_vertices(g: Graph) -> int:
     return (1 << g.n) - 1
 
 
+def neighborhood(g: Graph, vertices: Iterable[int]) -> int:
+    """The union of the neighbor sets of ``vertices``, as a mask, in one
+    C-level reduction."""
+    return reduce(or_, map(g.adj.__getitem__, vertices), 0)
+
+
 def vertex_mask(g: Graph, vertices: Collection[int]) -> int | None:
     """The mask of ``vertices`` if each is a vertex id of ``g``, else None.
 
@@ -203,10 +217,13 @@ def vertex_mask(g: Graph, vertices: Collection[int]) -> int | None:
     ``1 << v``, which raises on a negative id and allocates without bound on
     a huge one.
     """
+    if not vertices:
+        return 0
     try:
-        if vertices and (min(vertices) < 0 or max(vertices) >= g.n):
+        top = max(vertices)
+        if min(vertices) < 0 or top >= g.n:
             return None
-        return mask_of(vertices)
+        return _mask_upto(vertices, top)
     except TypeError:  # a non-integer id
         return None
 

@@ -15,8 +15,6 @@ lift values computed on the reduced graph back to the input graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Literal, Union
 
 from .crown import _crown_or_matching
@@ -29,6 +27,7 @@ from .graph import (
     mask_of,
     max_bipartite_matching,
     members,
+    neighborhood,
     vertex_mask,
 )
 
@@ -223,7 +222,7 @@ def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
                 return "isolated-step-unknown-vertex"
             if removed.bit_count() != len(step.vertices):
                 return "isolated-step-duplicate-vertex"
-            if reduce(or_, map(g.adj.__getitem__, step.vertices), 0) & live:
+            if neighborhood(g, step.vertices) & live:
                 return "isolated-step-vertex-not-isolated"
             dual_offset += len(step.vertices)
         else:
@@ -241,7 +240,7 @@ def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
                 or crown.bit_count() + head.bit_count() + body.bit_count() != live.bit_count()
             ):
                 return "crown-step-not-a-partition"
-            if reduce(or_, map(g.adj.__getitem__, step.crown), 0) & (crown | body):
+            if neighborhood(g, step.crown) & (crown | body):
                 return "crown-step-separation-violated"
             matching = max_bipartite_matching(g, head, crown)
             if len(matching) != head.bit_count():

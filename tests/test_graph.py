@@ -18,12 +18,14 @@ from crownkernel.exact import build_confusion_graph
 from crownkernel.formats import parse_dimacs, write_dimacs
 from crownkernel.generators import gen_crown_planted
 from crownkernel.graph import (
+    _DIGIT_STRING_MIN_IDS,
     all_vertices,
     bits,
     clique_cover_is_valid,
     mask_of,
     matching_is_valid,
     members,
+    neighborhood,
     vertex_mask,
 )
 
@@ -329,40 +331,54 @@ def test_members_of_full_mask():
     assert members(0) == []
 
 
+# Id counts just below, at and above the size from which mask_of builds a
+# digit string instead of shifting once per id.
+CUT = _DIGIT_STRING_MIN_IDS
+
+
 @pytest.mark.parametrize(
     "vertices",
     [
         [],
         [4999],
-        list(range(31)),
-        list(range(32)),
-        list(range(33)),
-        list(range(4000, 4000 + 3 * 31, 3)),
-        list(range(4000, 4000 + 3 * 32, 3)),
-        list(range(4000, 4000 + 3 * 33, 3)),
+        list(range(CUT - 1)),
+        list(range(CUT)),
+        list(range(CUT + 1)),
+        list(range(4000, 4000 + 3 * (CUT - 1), 3)),
+        list(range(4000, 4000 + 3 * CUT, 3)),
+        list(range(4000, 4000 + 3 * (CUT + 1), 3)),
         list(range(0, 800, 8)),
         list(range(0, 900, 9)),
         list(range(8001, 8006)),
     ],
 )
 def test_mask_of_and_members_round_trip(vertices):
-    # 32 ids is where mask_of switches from shifts to a digit string, and
-    # one set bit in eight is where members switches between its scans.
     mask = sum(1 << v for v in vertices)
     shuffled = random.Random(len(vertices)).sample(vertices, len(vertices))
     assert mask_of(vertices) == mask_of(shuffled + vertices[:3]) == mask_of(iter(vertices)) == mask
     assert members(mask) == vertices
 
 
-@pytest.mark.parametrize("size", [1, 31, 32, 40])
+@pytest.mark.parametrize("size", [1, CUT - 1, CUT, CUT + 8])
 def test_mask_of_rejects_a_negative_id(size):
     with pytest.raises(ValueError):
         mask_of(list(range(size - 1)) + [-1])
 
 
-@pytest.mark.parametrize("size", [1, 31, 32, 40])
-@pytest.mark.parametrize("bad", [-1, 100, 10**30, "3", 2.0, None])
+@pytest.mark.parametrize("size", [1, CUT - 1, CUT, CUT + 8])
+@pytest.mark.parametrize("bad", [-1, 300, 10**30, "3", 2.0, None])
 def test_vertex_mask_refuses_ids_outside_the_graph(size, bad):
-    g = empty(100)
+    g = empty(300)
     assert vertex_mask(g, list(range(size))) == (1 << size) - 1
     assert vertex_mask(g, list(range(size - 1)) + [bad]) is None
+
+
+def test_neighborhood_is_the_union_of_neighbor_sets():
+    rng = random.Random(11)
+    for _ in range(50):
+        g = random_graph(rng, rng.randint(0, 40), rng.random())
+        ids = rng.sample(range(g.n), rng.randint(0, g.n))
+        expected = 0
+        for v in ids:
+            expected |= g.adj[v]
+        assert neighborhood(g, ids) == expected
