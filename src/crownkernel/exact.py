@@ -153,40 +153,44 @@ def _grow_clique(
 
     Only cliques larger than ``best`` are searched for, and the search ends
     once one of size ``stop`` is found.  Returns (size, mask) of the largest
-    clique found, or (best, 0) if none is larger than ``best``.
+    clique found, or (best, 0) if none is larger than ``best``.  The search
+    keeps its own stack, one frame per clique vertex.
     """
     best_mask = 0
-
-    def expand(clique: int, size: int, cand: int) -> None:
-        nonlocal best, best_mask
-        if cand == 0:
+    stack = []  # (clique, size, candidates left, color order, color bounds, next index)
+    size = clique.bit_count()
+    while True:
+        if not cand:
             if size > best:
-                best = size
-                best_mask = clique
-            return
-        order: list[int] = []
-        bound: list[int] = []
-        color = 0
-        uncolored = cand
-        while uncolored:
-            color += 1
-            avail = uncolored
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= ~adj[v]
-                avail &= ~(1 << v)
-                uncolored &= ~(1 << v)
-                order.append(v)
-                bound.append(color)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bound[i] <= best or best >= stop:
-                return
-            v = order[i]
-            expand(clique | 1 << v, size + 1, cand & adj[v])
-            cand &= ~(1 << v)
-
-    expand(clique, clique.bit_count(), cand)
-    return best, best_mask
+                best, best_mask = size, clique
+        else:
+            # Greedy color classes of cand: a clique within order[: i + 1] has
+            # at most bound[i] vertices, so branching runs from the end.
+            order: list[int] = []
+            bound: list[int] = []
+            color = 0
+            uncolored = cand
+            while uncolored:
+                color += 1
+                avail = uncolored
+                while avail:
+                    v = (avail & -avail).bit_length() - 1
+                    avail &= ~adj[v]
+                    avail &= ~(1 << v)
+                    uncolored &= ~(1 << v)
+                    order.append(v)
+                    bound.append(color)
+            stack.append((clique, size, cand, order, bound, len(order)))
+        while stack:
+            clique, size, cand, order, bound, i = stack.pop()
+            i -= 1
+            if i >= 0 and size + bound[i] > best and best < stop:
+                v = order[i]
+                stack.append((clique, size, cand & ~(1 << v), order, bound, i))
+                clique, size, cand = clique | 1 << v, size + 1, cand & adj[v]
+                break
+        else:
+            return best, best_mask
 
 
 def max_clique(g: Graph) -> int:
@@ -203,29 +207,65 @@ def independence_number(g: Graph, caps: Caps = DEFAULT_CAPS) -> int:
     return max_clique(g.complement())
 
 
-def dsatur_coloring(g: Graph) -> list[int]:
-    """Greedy DSATUR coloring; returns a color per vertex (an upper bound witness)."""
-    n = g.n
-    colors = [-1] * n
-    neighbor_colors = [0] * n
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (neighbor_colors[u].bit_count(), g.degree(u), -u),
-        )
-        c = 0
-        used = neighbor_colors[v]
-        while (used >> c) & 1:
-            c += 1
-        colors[v] = c
-        for u in bits(g.adj[v]):
-            neighbor_colors[u] |= 1 << c
+def _dsatur(g: Graph, k: int, clique: int) -> list[int] | None:
+    """DSATUR search for a proper coloring with at most ``k`` colors, or None.
+
+    The vertices of ``clique`` take colors 0, 1, ... first.  Next comes the
+    vertex with the most distinct neighbor colors, then the highest degree,
+    then the lowest id; it tries its free colors lowest first and may open at
+    most one new color.  With k = n the first descent never fails: it is the
+    greedy DSATUR coloring.  Backtracking runs on an explicit stack.
+    """
+    adj = g.adj
+    colors = [-1] * g.n
+    seen = [0] * g.n  # seen[v]: mask of the colors on v's colored neighbors
+    used = 0
+    for v in bits(clique):
+        colors[v] = used
+        for u in bits(adj[v]):
+            seen[u] |= 1 << used
+        used += 1
+    # By degree, high first, then by id (the sort is stable): the first of
+    # these with the most neighbor colors is the next to color.
+    pending = sorted((v for v in range(g.n) if colors[v] < 0), key=g.degree, reverse=True)
+    stack = []  # (index in pending, vertex, colors left to try, used, neighbors it colored)
+    while pending:
+        i = most = -1
+        for j, u in enumerate(pending):
+            if seen[u].bit_count() > most:
+                i, most = j, seen[u].bit_count()
+        v = pending.pop(i)
+        avail = ~seen[v] & ((1 << min(used + 1, k)) - 1)
+        while not avail:
+            pending.insert(i, v)
+            if not stack:
+                return None
+            i, v, avail, used, touched = stack.pop()
+            bit = 1 << colors[v]
+            for u in touched:
+                seen[u] ^= bit
+        bit = avail & -avail
+        colors[v] = c = bit.bit_length() - 1
+        touched = []
+        for u in bits(adj[v]):
+            if not seen[u] & bit:
+                seen[u] |= bit
+                touched.append(u)
+        stack.append((i, v, avail ^ bit, used, touched))
+        if c == used:
+            used += 1
     return colors
 
 
+def dsatur_coloring(g: Graph) -> list[int]:
+    """Greedy DSATUR coloring; returns a color per vertex (an upper bound witness)."""
+    return _dsatur(g, g.n, 0)
+
+
 def is_colorable(g: Graph, k: int, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Exact k-colorability test: DSATUR-ordered backtracking with the
-    new-color symmetry break (a vertex may open at most one fresh color)."""
+    """Exact k-colorability test: the greedy coloring and the clique bound,
+    then the DSATUR search with one maximum clique precolored (its vertices
+    take distinct colors in any proper coloring, which breaks the symmetry)."""
     n = g.n
     if n > caps.chi:
         raise CapExceeded("colorability vertex count", n, caps.chi)
@@ -235,81 +275,23 @@ def is_colorable(g: Graph, k: int, caps: Caps = DEFAULT_CAPS) -> bool:
         return n == 0
     if max(dsatur_coloring(g), default=-1) + 1 <= k:
         return True
-
     omega, clique_mask = max_clique_set(g)
     if omega > k:
         return False
-
-    adj = g.adj
-    colors = [-1] * n
-    neighbor_colors = [0] * n
-    degrees = [g.degree(v) for v in range(n)]
-    kmask = (1 << k) - 1
-
-    # Precolor one maximum clique: its vertices take pairwise distinct colors
-    # in any proper coloring, so fixing them breaks the color symmetry.
-    precolored = 0
-    next_color = 0
-    for v in bits(clique_mask):
-        colors[v] = next_color
-        bit = 1 << next_color
-        for u in bits(adj[v]):
-            neighbor_colors[u] |= bit
-        next_color += 1
-        precolored += 1
-
-    def backtrack(colored: int, used: int) -> bool:
-        if colored == n:
-            return True
-        v = -1
-        best_key = None
-        for u in range(n):
-            if colors[u] != -1:
-                continue
-            sat = neighbor_colors[u].bit_count()
-            key = (-sat, -degrees[u], u)
-            if best_key is None or key < best_key:
-                best_key = key
-                v = u
-        limit = min(used + 1, k)
-        avail = ~neighbor_colors[v] & ((1 << limit) - 1) & kmask
-        while avail:
-            c = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            colors[v] = c
-            touched = []
-            bit = 1 << c
-            for u in bits(adj[v]):
-                if not neighbor_colors[u] & bit:
-                    neighbor_colors[u] |= bit
-                    touched.append(u)
-            if backtrack(colored + 1, max(used, c + 1)):
-                return True
-            colors[v] = -1
-            for u in touched:
-                neighbor_colors[u] &= ~bit
-        return False
-
-    return backtrack(precolored, next_color)
+    return _dsatur(g, k, clique_mask) is not None
 
 
 def chromatic_number(g: Graph, caps: Caps = DEFAULT_CAPS) -> int:
-    """Exact chromatic number: iterative deepening from a clique /
-    counting lower bound up to the DSATUR upper bound."""
+    """Exact chromatic number: the smallest k, counting up from the clique /
+    counting lower bound max(omega, ceil(n / alpha)), that is_colorable accepts."""
     if g.n > caps.chi:
         raise CapExceeded("chromatic solver vertex count", g.n, caps.chi)
     if g.n == 0:
         return 0
-    if g.m == 0:
-        return 1
-    ub = max(dsatur_coloring(g)) + 1
-    lb = max_clique(g)
-    alpha = max_clique(g.complement())
-    lb = max(lb, -(-g.n // alpha))
-    for k in range(lb, ub):
-        if is_colorable(g, k, caps):
-            return k
-    return ub
+    k = max(max_clique(g), -(-g.n // max_clique(g.complement())))
+    while not is_colorable(g, k, caps):
+        k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +398,7 @@ def index_coding_length(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:
     while q**ell < lower:
         ell += 1
     while ell < cover_number:
-        colors = q**ell
-        if colors >= size or is_colorable(conf, colors, caps):
+        if is_colorable(conf, q**ell, caps):
             return ell
         ell += 1
     return cover_number

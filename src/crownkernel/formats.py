@@ -8,7 +8,7 @@ Trace JSON is strict: unknown fields are rejected so fixtures stay bit-stable.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import AbstractSet, Any
 
 from .crown import CrownDecomposition
 from .graph import Edge, Graph
@@ -165,7 +165,11 @@ def dump_graph(g: Graph, fmt: str) -> str:
 # Trace files
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _require_keys(
+    obj: Any, allowed: AbstractSet[str], required: AbstractSet[str], where: str
+) -> None:
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise FormatError(f"{where}: unknown fields {sorted(unknown)}")
@@ -174,12 +178,37 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise FormatError(f"{where}: missing fields {sorted(missing)}")
 
 
-def _vertex_list(obj: dict, key: str, where: str) -> list:
-    """The vertex list ``obj[key]``, which must be a JSON list."""
+def _list(obj: dict, key: str, where: str) -> list:
+    """The value ``obj[key]``, which must be a JSON list."""
     value = obj[key]
     if not isinstance(value, list):
         raise FormatError(f"{where}: {key!r} must be a list")
     return value
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(obj: dict, key: str, where: str) -> int:
+    """The value ``obj[key]``, which must be an integer (a bool is none)."""
+    value = obj[key]
+    if not _is_int(value):
+        raise FormatError(f"{where}: {key!r} must be an integer")
+    return value
+
+
+def _bool(obj: dict, key: str, where: str) -> bool:
+    """The value ``obj[key]``, which must be true or false."""
+    value = obj[key]
+    if not isinstance(value, bool):
+        raise FormatError(f"{where}: {key!r} must be true or false")
+    return value
+
+
+_INPUT_KEYS = frozenset({"n", "m", "k", "q"})
+_KERNEL_KEYS = frozenset({"n", "k"})
+_OFFSETS_KEYS = frozenset({"capacity", "dual"})
 
 
 def trace_to_dict(trace: ReductionTrace, answer: bool | None = None) -> dict:
@@ -209,42 +238,43 @@ def trace_to_dict(trace: ReductionTrace, answer: bool | None = None) -> dict:
 
 
 def trace_from_dict(obj: dict) -> ReductionTrace:
-    if not isinstance(obj, dict):
-        raise FormatError("trace JSON must be an object")
     _require_keys(
         obj,
         {"input", "steps", "short_circuit", "kernel", "offsets", "answer"},
         {"input", "steps", "short_circuit", "kernel", "offsets"},
         "trace",
     )
-    _require_keys(obj["input"], {"n", "m", "k", "q"}, {"n", "m", "k", "q"}, "trace.input")
-    _require_keys(obj["kernel"], {"n", "k"}, {"n", "k"}, "trace.kernel")
-    _require_keys(obj["offsets"], {"capacity", "dual"}, {"capacity", "dual"}, "trace.offsets")
+    inp, kernel, offsets = obj["input"], obj["kernel"], obj["offsets"]
+    _require_keys(inp, _INPUT_KEYS, _INPUT_KEYS, "trace.input")
+    _require_keys(kernel, _KERNEL_KEYS, _KERNEL_KEYS, "trace.kernel")
+    _require_keys(offsets, _OFFSETS_KEYS, _OFFSETS_KEYS, "trace.offsets")
+    if "answer" in obj:
+        _bool(obj, "answer", "trace")
     steps: list[ReductionStep] = []
-    for idx, step in enumerate(obj["steps"]):
+    for idx, step in enumerate(_list(obj, "steps", "trace")):
         where = f"trace.steps[{idx}]"
         if not isinstance(step, dict) or "kind" not in step:
             raise FormatError(f"{where}: missing kind")
         if step["kind"] == "isolated":
             _require_keys(step, {"kind", "vertices"}, {"kind", "vertices"}, where)
-            steps.append(IsolatedRemoval(tuple(_vertex_list(step, "vertices", where))))
+            steps.append(IsolatedRemoval(tuple(_list(step, "vertices", where))))
         elif step["kind"] == "crown":
             _require_keys(step, {"kind", "H", "C", "R"}, {"kind", "H", "C", "R"}, where)
-            crown, head, body = (tuple(_vertex_list(step, key, where)) for key in ("C", "H", "R"))
+            crown, head, body = (tuple(_list(step, key, where)) for key in ("C", "H", "R"))
             steps.append(CrownReduction(crown=crown, head=head, body=body))
         else:
             raise FormatError(f"{where}: unknown kind {step['kind']!r}")
     return ReductionTrace(
-        input_n=obj["input"]["n"],
-        input_m=obj["input"]["m"],
-        input_k=obj["input"]["k"],
-        q=obj["input"]["q"],
+        input_n=_int(inp, "n", "trace.input"),
+        input_m=_int(inp, "m", "trace.input"),
+        input_k=_int(inp, "k", "trace.input"),
+        q=None if inp["q"] is None else _int(inp, "q", "trace.input"),
         steps=tuple(steps),
-        short_circuit=obj["short_circuit"],
-        kernel_n=obj["kernel"]["n"],
-        kernel_k=obj["kernel"]["k"],
-        capacity_offset=obj["offsets"]["capacity"],
-        dual_offset=obj["offsets"]["dual"],
+        short_circuit=_bool(obj, "short_circuit", "trace"),
+        kernel_n=_int(kernel, "n", "trace.kernel"),
+        kernel_k=_int(kernel, "k", "trace.kernel"),
+        capacity_offset=_int(offsets, "capacity", "trace.offsets"),
+        dual_offset=_int(offsets, "dual", "trace.offsets"),
     )
 
 
@@ -261,28 +291,22 @@ def crown_to_dict(dec: CrownDecomposition) -> dict:
     }
 
 
-def _is_vertex_id(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def crown_from_dict(obj: dict) -> CrownDecomposition:
     """Read a crown file.  ``C``, ``H`` and ``R`` must be lists of distinct
     integers and ``witness`` a list of integer pairs; whether they are
     vertices of the graph is ``check_crown``'s question."""
-    if not isinstance(obj, dict):
-        raise FormatError("crown JSON must be an object")
     _require_keys(obj, {"C", "H", "R", "witness"}, {"C", "H", "R", "witness"}, "crown")
     parts = []
     for key in ("C", "H", "R"):
-        ids = _vertex_list(obj, key, "crown")
-        if not all(map(_is_vertex_id, ids)):
+        ids = _list(obj, key, "crown")
+        if not all(map(_is_int, ids)):
             raise FormatError(f"crown: {key!r} must list integer vertex ids")
         if len(set(ids)) != len(ids):
             raise FormatError(f"crown: {key!r} lists a vertex twice")
         parts.append(frozenset(ids))
-    witness = _vertex_list(obj, "witness", "crown")
+    witness = _list(obj, "witness", "crown")
     for idx, edge in enumerate(witness):
-        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_vertex_id, edge))):
+        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
             raise FormatError(f"crown: 'witness'[{idx}] must be a pair of integer vertex ids")
     crown, head, body = parts
     return CrownDecomposition(

@@ -205,7 +205,8 @@ def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
 
     Validates step applicability (removed vertices isolated, crown clauses
     hold with a full H-into-C matching), the recorded offsets, and the kernel
-    size/parameter bookkeeping.  The steps are checked on a mask of the
+    size/parameter bookkeeping: unless short-circuited, k' = max(k - |H| summed
+    over crown steps, 0).  The steps are checked on a mask of the
     vertices still live in ``g``; no intermediate graph is built.
     """
     if trace.input_n != g.n:
@@ -262,4 +263,6 @@ def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
         return "kernel-n-mismatch"
     if trace.kernel_n == 0 and live_n != 0 and trace.kernel_k != 0:
         return "kernel-n-mismatch"
+    if trace.kernel_k != max(trace.input_k - trace.capacity_offset, 0):
+        return "kernel-k-mismatch"
     return None

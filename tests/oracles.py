@@ -48,6 +48,94 @@ def greedy_maximal_matching_reference(g: Graph, live: int | None = None) -> Matc
     return out
 
 
+def grow_clique_reference(
+    adj: Sequence[int], clique: int, cand: int, best: int, stop: int
+) -> tuple[int, int]:
+    """The clique branch and bound as first written, recursing once per
+    clique vertex; same arguments and result as ``exact._grow_clique``."""
+    best_mask = 0
+
+    def expand(clique: int, size: int, cand: int) -> None:
+        nonlocal best, best_mask
+        if cand == 0:
+            if size > best:
+                best = size
+                best_mask = clique
+            return
+        order: list[int] = []
+        bound: list[int] = []
+        color = 0
+        uncolored = cand
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= ~adj[v]
+                avail &= ~(1 << v)
+                uncolored &= ~(1 << v)
+                order.append(v)
+                bound.append(color)
+        for i in range(len(order) - 1, -1, -1):
+            if size + bound[i] <= best or best >= stop:
+                return
+            v = order[i]
+            expand(clique | 1 << v, size + 1, cand & adj[v])
+            cand &= ~(1 << v)
+
+    expand(clique, clique.bit_count(), cand)
+    return best, best_mask
+
+
+def dsatur_coloring_reference(g: Graph) -> list[int]:
+    """The greedy DSATUR coloring as first written, a loop of its own apart
+    from the colorability search."""
+    n = g.n
+    colors = [-1] * n
+    neighbor_colors = [0] * n
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if colors[u] == -1),
+            key=lambda u: (neighbor_colors[u].bit_count(), g.degree(u), -u),
+        )
+        c = 0
+        used = neighbor_colors[v]
+        while (used >> c) & 1:
+            c += 1
+        colors[v] = c
+        for u in bits(g.adj[v]):
+            neighbor_colors[u] |= 1 << c
+    return colors
+
+
+def chromatic_number_by_subsets(g: Graph) -> int:
+    """The fewest independent sets that cover the vertices, by a pass over all
+    vertex subsets in which each subset's best cover takes out an independent
+    set holding its lowest vertex; 3**n steps, so a dozen vertices at most."""
+    n = g.n
+    size = 1 << n
+    independent = [True] * size
+    for s in range(1, size):
+        low = s & -s
+        rest = s ^ low
+        independent[s] = independent[rest] and not g.adj[low.bit_length() - 1] & rest
+    best = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        rest = s ^ low
+        sub = rest
+        fewest = n
+        while True:
+            part = sub | low
+            if independent[part]:
+                fewest = min(fewest, best[s ^ part] + 1)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        best[s] = fewest
+    return best[size - 1]
+
+
 def minrank_pattern_bruteforce(g: Graph, p: int) -> int:
     """Minrank by plain enumeration of all diagonal-one representing matrices."""
     if not is_prime(p):

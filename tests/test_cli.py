@@ -249,6 +249,57 @@ class TestGenAndVerify:
         err = capsys.readouterr().err.strip()
         assert err == f"error: trace.steps[{index}]: {key!r} must be a list"
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            (None, "steps", 5, "trace: 'steps' must be a list"),
+            (None, "input", 5, "trace.input must be an object"),
+            (None, "kernel", 5, "trace.kernel must be an object"),
+            (None, "offsets", [], "trace.offsets must be an object"),
+            ("input", "n", "6", "trace.input: 'n' must be an integer"),
+            ("input", "k", True, "trace.input: 'k' must be an integer"),
+            ("input", "q", 2.0, "trace.input: 'q' must be an integer"),
+            ("kernel", "k", None, "trace.kernel: 'k' must be an integer"),
+            ("offsets", "dual", 5.5, "trace.offsets: 'dual' must be an integer"),
+            (None, "short_circuit", "no", "trace: 'short_circuit' must be true or false"),
+            (None, "answer", 1, "trace: 'answer' must be true or false"),
+        ],
+    )
+    def test_mistyped_trace_field_is_a_usage_error(
+        self, star_file, tmp_path, capsys, section, key, value, message
+    ):
+        prefix = str(tmp_path / "out")
+        main(["kernelize", star_file, "--k", "2", "--out", prefix])
+        trace_path = tmp_path / "out.trace.json"
+        obj = json.loads(trace_path.read_text())
+        (obj if section is None else obj[section])[key] = value
+        trace_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", star_file, str(trace_path)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    def test_trace_without_an_alphabet_size_verifies(self, star_file, tmp_path, capsys):
+        prefix = str(tmp_path / "out")
+        main(["kernelize", star_file, "--k", "2", "--out", prefix])
+        trace_path = tmp_path / "out.trace.json"
+        obj = json.loads(trace_path.read_text())
+        obj["input"]["q"] = None
+        trace_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", star_file, str(trace_path)]) == 0
+
+    def test_verify_rejects_a_forged_kernel_parameter(self, star_file, tmp_path, capsys):
+        prefix = str(tmp_path / "out")
+        main(["kernelize", star_file, "--k", "2", "--out", prefix])
+        trace_path = tmp_path / "out.trace.json"
+        obj = json.loads(trace_path.read_text())
+        assert obj["kernel"] == {"n": 0, "k": 1}
+        obj["kernel"]["k"] = 7
+        trace_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", star_file, str(trace_path)]) == 1
+        assert capsys.readouterr().out.strip() == "FAIL: kernel-k-mismatch"
+
     def test_crown_planted_requires_out(self):
         assert main(["gen", "crown-planted", "--c", "2", "--h", "1", "--r", "1"]) == 2
 

@@ -26,10 +26,14 @@ from crownkernel.exact import (
     storage_capacity_alpha,
     vector_of,
 )
+from crownkernel.generators import gen_complete, gen_empty, gen_gnp
 from crownkernel.graph import greedy_clique_cover
 
 from conftest import all_labeled_graphs, complete, empty, path, random_graph, star
 from oracles import (
+    chromatic_number_by_subsets,
+    dsatur_coloring_reference,
+    grow_clique_reference,
     index_of,
     minrank_full_bruteforce,
     minrank_pattern_bruteforce,
@@ -40,6 +44,19 @@ from oracles import (
 
 def cycle(n):
     return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def chromatic_bruteforce(g):
+    """The fewest colors of a proper coloring, by trying all k**n maps."""
+    return next(
+        k
+        for k in range(g.n + 1)
+        if any(
+            all(c[u] != c[v] for u, v in g.edges())
+            for c in itertools.product(range(k), repeat=g.n)
+        )
+        or k == g.n
+    )
 
 
 class TestVectorIndexing:
@@ -132,17 +149,7 @@ class TestAlphaChi:
         # independent O(k^n) reference for both invariants
         for _ in range(60):
             g = random_graph(rng, rng.randint(0, 5), 0.5)
-            chi = chromatic_number(g)
-            brute = next(
-                k
-                for k in range(g.n + 1)
-                if any(
-                    all(c[u] != c[v] for u, v in g.edges())
-                    for c in itertools.product(range(k), repeat=g.n)
-                )
-                or k == g.n
-            )
-            assert chi == brute
+            assert chromatic_number(g) == chromatic_bruteforce(g)
             omega = max_clique(g)
             best = max(
                 (
@@ -160,6 +167,62 @@ class TestAlphaChi:
             independence_number(empty(5), Caps(alpha=4))
         with pytest.raises(CapExceeded):
             chromatic_number(complete(5), Caps(chi=4))
+
+    def test_coloring_routines_on_all_5_vertex_graphs(self, catalog5):
+        for g, *_ in catalog5:
+            chi = chromatic_bruteforce(g)
+            assert chromatic_number(g) == chi == chromatic_number_by_subsets(g)
+            assert [is_colorable(g, k) for k in range(g.n + 1)] == [
+                k >= chi for k in range(g.n + 1)
+            ]
+            assert dsatur_coloring(g) == dsatur_coloring_reference(g)
+
+    def test_greedy_coloring_is_the_reference_coloring(self, rng):
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(0, 40), rng.random())
+            assert dsatur_coloring(g) == dsatur_coloring_reference(g)
+        # 1500 vertices colored one after another: a search that recursed
+        # once per vertex would overflow Python's stack here.
+        g = gen_gnp(1500, 0.004, random.Random(3))
+        assert dsatur_coloring(g) == dsatur_coloring_reference(g)
+
+    def test_colorability_search_backtracks_to_exact_answers(self, rng):
+        # On 8-10 vertices the first descent from a precolored maximum clique
+        # now and then fails at k = chi, and the search has to backtrack.
+        search = crownkernel.exact._dsatur
+        for _ in range(400):
+            n = rng.randint(8, 10)
+            g = random_graph(rng, n, rng.uniform(0.3, 0.7))
+            chi = chromatic_number_by_subsets(g)
+            assert chromatic_number(g) == chi
+            omega, clique = crownkernel.exact.max_clique_set(g)
+            for k in range(omega, n + 1):
+                colors = search(g, k, clique)
+                assert (colors is not None) == (k >= chi)
+                if colors is not None:
+                    assert max(colors) < k
+                    assert all(colors[u] != colors[v] for u, v in g.edges())
+
+    def test_colorability_search_has_no_depth_limit(self):
+        # The odd cycle forces one color per vertex around all 1001 of them.
+        assert is_colorable(cycle(1001), 2, Caps(chi=4096)) is False
+
+    def test_clique_search_has_no_depth_limit(self):
+        assert independence_number(gen_empty(1100)) == 1100
+        assert max_clique(gen_complete(1100)) == 1100
+
+    def test_clique_search_matches_the_recursive_reference(self, rng):
+        grow = crownkernel.exact._grow_clique
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 25), rng.random())
+            full = (1 << g.n) - 1
+            assert grow(g.adj, 0, full, 0, g.n) == grow_clique_reference(g.adj, 0, full, 0, g.n)
+            # Seeded and stopped, through vertex 0, as the confusion-graph
+            # searches call it.
+            best, stop = rng.randint(0, 3), rng.randint(1, g.n)
+            assert grow(g.adj, 1, g.adj[0], best, stop) == grow_clique_reference(
+                g.adj, 1, g.adj[0], best, stop
+            )
 
 
 class TestProblemValues:

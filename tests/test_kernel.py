@@ -249,6 +249,23 @@ def test_verify_trace_detects_tampering():
         replay_trace(g, bad_offsets)
 
 
+@pytest.mark.parametrize("forged", [1, 6, 8, 99])
+def test_verify_trace_rejects_a_forged_kernel_parameter(forged):
+    # Only isolated vertices go, so the kernel keeps 17 vertices and k' = 7.
+    g, _ = gen_crown_planted(12, 3, 5, random.Random(1))
+    kernel, kk, trace = kernelize(g, 7)
+    assert (kernel.n, kk) == (17, 7) and verify_trace(g, trace) is None
+    bad = dataclasses.replace(trace, kernel_k=forged)
+    assert verify_trace(g, bad) == "kernel-k-mismatch"
+
+
+def test_verify_trace_holds_value_mode_to_kernel_parameter_zero():
+    g = path(7)
+    _, kk, trace = kernelize(g, None)
+    assert kk == 0 and verify_trace(g, trace) is None
+    assert verify_trace(g, dataclasses.replace(trace, kernel_k=1)) == "kernel-k-mismatch"
+
+
 class TestVerifyTraceMalformedSteps:
     def _trace(self, g, steps, capacity=0, dual=0):
         return ReductionTrace(
