@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, GraphError, FileNotFoundError, ValueError) as exc:
+    except (FormatError, GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:

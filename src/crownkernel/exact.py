@@ -39,17 +39,17 @@ class CapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Caps:
-    """Size limits for the exact solvers; exceeding one raises, never approximates."""
+    """Size limits for the exact solvers; exceeding one raises, never approximates.
 
-    confusion: int = 2**20  # max vertex count of a constructed confusion graph
-    # max vertex count for independence_number; storage_capacity_alpha checks
-    # it (after `confusion`) against q**n whether or not it builds Conf_q(G);
-    # index_coding_length does not check it
-    alpha: int = 4096
-    # max vertex count for chromatic_number / colorability; index_coding_length
-    # checks it (after `confusion`) against q**n before building Conf_q(G)
-    chi: int = 512
-    minrank: int = 2**40  # max nominal search space (p-1)**n * p**(2m) for minrank
+    The solvers' shared front end checks q, then `confusion` (SC and DIC),
+    then the solver's own cap, on the input graph before anything is built;
+    the base-graph bounds that follow are uncapped.
+    """
+
+    confusion: int = 2**20  # max vertex count q**n of a confusion graph
+    alpha: int = 4096  # max vertex count for independence_number; SC's own cap on q**n
+    chi: int = 512  # max vertex count for chromatic_number / is_colorable; DIC's own cap on q**n
+    minrank: int = 2**40  # max nominal search space (p-1)**n * p**(2m); minrank's own cap
 
 
 DEFAULT_CAPS = Caps()
@@ -83,10 +83,6 @@ class ConfusionGraph:
     base: Graph
     q: int
     graph: Graph
-
-    @property
-    def size(self) -> int:
-        return self.graph.n
 
 
 def vector_of(index: int, n: int, q: int) -> tuple[int, ...]:
@@ -282,47 +278,57 @@ def is_colorable(g: Graph, k: int, caps: Caps = DEFAULT_CAPS) -> bool:
 
 
 def chromatic_number(g: Graph, caps: Caps = DEFAULT_CAPS) -> int:
-    """Exact chromatic number: the smallest k, counting up from the clique /
-    counting lower bound max(omega, ceil(n / alpha)), that is_colorable accepts."""
+    """Exact chromatic number: the chi cap, then the uncapped search of _chi."""
     if g.n > caps.chi:
         raise CapExceeded("chromatic solver vertex count", g.n, caps.chi)
-    if g.n == 0:
-        return 0
-    k = max(max_clique(g), -(-g.n // max_clique(g.complement())))
-    while not is_colorable(g, k, caps):
+    return _chi(g)[0]
+
+
+def _chi(g: Graph) -> tuple[int, int]:
+    """(chi(G), omega(G)), with no cap: one maximum clique search and the
+    greedy coloring, then the DSATUR search with that clique precolored for
+    each k from omega up to below the greedy coloring's count."""
+    omega, clique = max_clique_set(g)
+    k, upper = omega, max(dsatur_coloring(g), default=-1) + 1
+    while k < upper and _dsatur(g, k, clique) is None:
         k += 1
-    return k
+    return k, omega
 
 
 # ---------------------------------------------------------------------------
-# Problem values through the confusion graph
+# Problem values: the front end the exact solvers share
 
 
-def _base_bounds(g: Graph, q: int) -> tuple[int, int, int]:
-    """(cc(G), q**(n - cc(G)), q**(n - alpha(G))): the clique-cover number of
-    the base graph and the two bounds it and alpha(G) put on alpha(Conf_q(G)).
+def _front_end(
+    g: Graph, q: int, caps: Caps, what: str, cap: int, space: int | None = None
+) -> tuple[Graph, int]:
+    """The cap preamble, then the isolated-vertex rule: (G - I, |I|).
 
-    Callers have checked q**n against a cap, which keeps the base graph to a
-    few vertices, so its own size is the only cap its solvers need.
+    On the input graph and before anything is allocated, it checks q, then
+    the confusion cap against q**n unless the solver gives its own search
+    ``space``, then the solver's own cap against ``space`` (default q**n).
+    An isolated vertex leaves alpha(Conf_q(G)) unchanged and adds exactly 1
+    to Ind_q and to minrank (the isolated rule of the reduction).
     """
-    comp = g.complement()
-    cover_number = chromatic_number(comp, Caps(chi=g.n))
-    return cover_number, q ** (g.n - cover_number), q ** (g.n - max_clique(comp))
+    if q < 2:
+        raise ValueError("alphabet size q must be >= 2")
+    if space is None:
+        space = q**g.n
+        if space > caps.confusion:
+            raise CapExceeded("confusion graph size", space, caps.confusion)
+    if space > cap:
+        raise CapExceeded(what, space, cap)
+    core = [v for v in range(g.n) if g.adj[v]]
+    if len(core) == g.n:
+        return g, 0
+    return induced_subgraph(g, core)[0], g.n - len(core)
 
 
-def _alpha_in_gap(conf: Graph, lo: int, hi: int) -> int:
-    """alpha(Conf_q(G)) given lo <= alpha <= hi: the largest independent set
-    through vertex 0, seeded with lo and stopped at hi."""
-    compatible = conf.complement()
-    return _grow_clique(compatible.adj, 1, compatible.adj[0], lo, hi)[0]
+def _cover_and_alpha(g: Graph, q: int, caps: Caps, conf: Graph | None = None) -> tuple[int, int]:
+    """(cc(G), alpha(Conf_q(G))), with cc(G) the clique-cover number.
 
-
-def storage_capacity_alpha(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:
-    """alpha(Conf_q(G)); the capacity itself is log_q of this integer and the
-    decision Capa_q(G) >= k is alpha >= q**k in exact arithmetic.
-
-    Two base-graph bounds sandwich the value, q**(n - cc(G)) <= alpha <=
-    q**(n - alpha(G)), with cc(G) the clique-cover number:
+    Two base-graph bounds sandwich alpha, q**(n - cc(G)) <= alpha <=
+    q**(n - alpha(G)):
 
     * lower: for a clique cover, the vectors whose symbols sum to 0 mod q on
       every clique form a code of size q**(n - cc); symbol i is minus the sum
@@ -331,23 +337,31 @@ def storage_capacity_alpha(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:
       so two vectors that agree outside I but differ at some i in I conflict;
       a code therefore has at most q**(n - |I|) members.
 
-    Conf_q(G) is built only when the bounds differ.  It is a Cayley graph on
+    One _chi search on the complement gives both cc(G) and alpha(G).  When
+    the bounds meet, nothing is built.  Otherwise the search runs on ``conf``
+    (built here if the caller passes none).  Conf_q(G) is a Cayley graph on
     Z_q**n (conflict depends only on x - y), so translating any maximum
     independent set gives one through vertex 0, and the search starts there,
-    seeded with the lower bound and stopped at the upper one.  Every cap is
-    checked against q**n before anything is allocated.
+    seeded with the lower bound and stopped at the upper one.
     """
-    if q < 2:
-        raise ValueError("alphabet size q must be >= 2")
-    size = q**g.n
-    if size > caps.confusion:
-        raise CapExceeded("confusion graph size", size, caps.confusion)
-    if size > caps.alpha:
-        raise CapExceeded("independence solver vertex count", size, caps.alpha)
-    _, lo, hi = _base_bounds(g, q)
+    cover_number, independent = _chi(g.complement())
+    lo, hi = q ** (g.n - cover_number), q ** (g.n - independent)
     if lo == hi:
-        return lo
-    return _alpha_in_gap(build_confusion_graph(g, q, caps).graph, lo, hi)
+        return cover_number, lo
+    if conf is None:
+        conf = build_confusion_graph(g, q, caps).graph
+    compatible = conf.complement()
+    return cover_number, _grow_clique(compatible.adj, 1, compatible.adj[0], lo, hi)[0]
+
+
+def storage_capacity_alpha(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:
+    """alpha(Conf_q(G)); the capacity itself is log_q of this integer and the
+    decision Capa_q(G) >= k is alpha >= q**k in exact arithmetic.
+
+    Its own cap is `alpha`; Conf_q(G) is built only in the bounds' gap.
+    """
+    g, _ = _front_end(g, q, caps, "independence solver vertex count", caps.alpha)
+    return _cover_and_alpha(g, q, caps)[1]
 
 
 def index_coding_length(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:
@@ -360,48 +374,29 @@ def index_coding_length(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:
     and two bounds cap chi from below, so explicit colorability search only
     runs inside the gap between the two:
 
-    * counting: chi >= ceil(q**n / alpha(Conf_q(G))), with alpha taken as in
-      storage_capacity_alpha: the base-graph bound when the sandwich closes,
-      else the vertex-0 search between its two ends.
+    * counting: chi >= ceil(q**n / alpha(Conf_q(G))), with alpha and cc(G)
+      from _cover_and_alpha on the one Conf_q(G) built here.
     * clique: chi >= omega(Conf_q(G)).  Conf_q(G) is a Cayley graph on
       Z_q**n, so x -> x - c is an automorphism; translating a maximum clique
       by minus one of its members gives one through vertex 0, so the search
       runs only over the neighbours of vertex 0.  It looks only for cliques
       larger than the counting bound and so returns max(omega, counting).
+      The clique it finds is precolored in each DSATUR search of the gap.
 
-    Isolated vertices are dropped first, each adding exactly 1 (the isolated
-    rule of the reduction).  With them Conf_q(G) is the join of q**|I| copies
-    of Conf_q(G - I), where the clique search proves its bound only slowly.
-
-    Both caps (confusion, then chi) are checked against q**n before anything
-    is built; Conf_q(G) is built once and the alpha cap is not consulted,
-    since q**n <= caps.chi already bounds the graph.
+    Its own cap is `chi`.  The front end drops isolated vertices: with them
+    Conf_q(G) is the join of q**|I| copies of Conf_q(G - I), where the clique
+    search proves its bound only slowly.
     """
-    if g.n == 0:
-        return 0
-    if q < 2:
-        raise ValueError("alphabet size q must be >= 2")
-    size = q**g.n
-    if size > caps.confusion:
-        raise CapExceeded("confusion graph size", size, caps.confusion)
-    if size > caps.chi:
-        raise CapExceeded("index coding solver confusion size", size, caps.chi)
-    core = [v for v in range(g.n) if g.adj[v]]
-    if len(core) < g.n:
-        return g.n - len(core) + index_coding_length(induced_subgraph(g, core)[0], q, caps)
-    cover_number, lo, hi = _base_bounds(g, q)
+    g, isolated = _front_end(g, q, caps, "index coding solver confusion size", caps.chi)
     conf = build_confusion_graph(g, q, caps).graph
-    alpha = lo if lo == hi else _alpha_in_gap(conf, lo, hi)
-    counting = -(-size // alpha)
-    lower = _grow_clique(conf.adj, 1, conf.adj[0], counting, size)[0]
+    cover_number, alpha = _cover_and_alpha(g, q, caps, conf)
+    lower, clique = _grow_clique(conf.adj, 1, conf.adj[0], -(-conf.n // alpha), conf.n)
     ell = 0
     while q**ell < lower:
         ell += 1
-    while ell < cover_number:
-        if is_colorable(conf, q**ell, caps):
-            return ell
+    while ell < cover_number and _dsatur(conf, q**ell, clique) is None:
         ell += 1
-    return cover_number
+    return isolated + ell
 
 
 # ---------------------------------------------------------------------------
@@ -500,21 +495,18 @@ def minrank(g: Graph, p: int, caps: Caps = DEFAULT_CAPS) -> int:
     at i; scaling rows preserves rank and the zero pattern, so the diagonal is
     normalized to ones and only the p**(2m) edge entries are searched.  The
     search runs row by row over reached row spaces (canonical RREF bases),
-    pruning once the partial rank matches the best known bound.
+    pruning once the partial rank matches the best known bound.  Its own cap
+    is `minrank`, on that search space of the input graph.
     """
     if not is_prime(p):
         raise ValueError(f"field modulus {p} is not prime")
+    space = (p - 1) ** g.n * p ** (2 * g.m)
+    g, isolated = _front_end(g, p, caps, "minrank search space", caps.minrank, space)
     n = g.n
-    if n == 0:
-        return 0
-    space = (p - 1) ** n * p ** (2 * g.m)
-    if space > caps.minrank:
-        raise CapExceeded("minrank search space", space, caps.minrank)
-
     cover_bound = len(greedy_clique_cover(g))
     lower = max_clique(g.complement())  # alpha(G) <= minrank
     if cover_bound == lower:
-        return cover_bound
+        return isolated + cover_bound
 
     best = cover_bound
     visited: set[tuple[int, tuple[tuple[int, ...], ...]]] = set()
@@ -540,7 +532,7 @@ def minrank(g: Graph, p: int, caps: Caps = DEFAULT_CAPS) -> int:
             dfs(i + 1, _rref_insert(basis, row, p))
 
     dfs(0, ())
-    return best
+    return isolated + best
 
 
 # ---------------------------------------------------------------------------

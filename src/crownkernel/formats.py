@@ -112,14 +112,14 @@ def parse_instance_json(text: str) -> tuple[Graph, dict[str, int]]:
         raise FormatError("instance JSON needs 'n' and 'adj'")
     n = obj["n"]
     adj = obj["adj"]
-    if not isinstance(n, int) or not isinstance(adj, list) or len(adj) != n:
+    if not _is_int(n) or not isinstance(adj, list) or len(adj) != n:
         raise FormatError("'adj' must list one neighbor list per vertex")
     edges: list[Edge] = []
     for u, nbrs in enumerate(adj):
         if not isinstance(nbrs, list):
             raise FormatError(f"adjacency of vertex {u} is not a list")
         for v in nbrs:
-            if not isinstance(v, int):
+            if not _is_int(v):
                 raise FormatError(f"non-integer neighbor of vertex {u}")
             edges.append((u, v))
     try:
@@ -128,7 +128,7 @@ def parse_instance_json(text: str) -> tuple[Graph, dict[str, int]]:
         raise FormatError(str(exc)) from exc
     meta = {key: obj[key] for key in ("k", "q", "p") if key in obj}
     for key, value in meta.items():
-        if not isinstance(value, int):
+        if not _is_int(value):
             raise FormatError(f"parameter {key!r} must be an integer")
     return g, meta
 

@@ -86,6 +86,21 @@ class TestFormats:
         with pytest.raises(FormatError):
             parse_instance_json('{"n": 1, "adj": [[]], "bogus": 1}')
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n": true, "adj": [[]]}', "'adj' must list one neighbor list per vertex"),
+            ('{"n": 2, "adj": [[true], [0]]}', "non-integer neighbor of vertex 0"),
+            ('{"n": 3, "adj": [[1], [0], []], "k": true}', "parameter 'k' must be an integer"),
+            ('{"n": 1, "adj": [[]], "q": false}', "parameter 'q' must be an integer"),
+            ('{"n": 1, "adj": [[]], "p": true}', "parameter 'p' must be an integer"),
+        ],
+    )
+    def test_json_rejects_booleans_as_integers(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_instance_json(text)
+        assert str(info.value) == message
+
     def test_trace_round_trip(self):
         _, _, trace = kernelize(star(6), 2, q=2)
         assert trace_from_dict(trace_to_dict(trace)) == trace
@@ -124,6 +139,26 @@ class TestCliExitCodes:
         bad.write_text("not dimacs at all\n")
         assert main(["decide", "sc", str(bad), "--k", "1"]) == 2
         assert main(["decide", "sc", str(tmp_path / "missing.col"), "--k", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "{star}", "{dir}"],
+            ["decide", "sc", "{dir}", "--k", "1"],
+            ["decide", "sc", "{star}", "--k", "1", "--out", "{dir}"],
+            ["kernelize", "{json}", "--out", "{dir}/k"],
+        ],
+    )
+    def test_unusable_path_or_input_is_a_usage_error(self, argv, star_file, tmp_path, capsys):
+        # A directory where a file belongs raises an OSError other than
+        # FileNotFoundError; a boolean k in a JSON instance is refused
+        # before kernelize writes a trace that verify would reject.
+        instance = tmp_path / "bool-k.json"
+        instance.write_text('{"n": 3, "adj": [[1], [0], []], "k": true}')
+        paths = {"star": star_file, "dir": str(tmp_path), "json": str(instance)}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "k.trace.json").exists()
 
     def test_cap_exit_code(self, tmp_path):
         # K5 stops value-mode reduction at a matching, so the residual keeps

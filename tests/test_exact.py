@@ -340,6 +340,22 @@ class TestStorageCapacityAlpha:
         with pytest.raises(ValueError):
             storage_capacity_alpha(path(3), 1, Caps(confusion=0))
 
+    def test_closed_sandwich_takes_at_most_two_clique_searches(self, catalog5, monkeypatch):
+        closed = [(g, alpha) for g, alpha, *_ in catalog5 if len(set(base_bounds(g, 2))) == 1]
+        assert len(closed) > 900
+        calls = []
+        grow = crownkernel.exact._grow_clique
+
+        def counted(*args):
+            calls.append(args)
+            return grow(*args)
+
+        monkeypatch.setattr(crownkernel.exact, "_grow_clique", counted)
+        for g, alpha in closed:
+            del calls[:]
+            assert storage_capacity_alpha(g, 2) == alpha
+            assert len(calls) <= 2
+
     def test_base_graph_ignores_the_chi_cap(self):
         assert storage_capacity_alpha(complete(4), 2, Caps(chi=1)) == 8
         assert storage_capacity_alpha(cycle(5), 2, Caps(chi=1)) == 5
@@ -372,13 +388,16 @@ def plain_ind(g, q, alpha=None):
 
 
 def count_colorability(monkeypatch):
+    """Records (vertex count, k) of each DSATUR search, the k-colorability
+    question index_coding_length asks of its confusion graph."""
     calls = []
+    search = crownkernel.exact._dsatur
 
     def counted(graph, k, *args, **kwargs):
         calls.append((graph.n, k))
-        return is_colorable(graph, k, *args, **kwargs)
+        return search(graph, k, *args, **kwargs)
 
-    monkeypatch.setattr(crownkernel.exact, "is_colorable", counted)
+    monkeypatch.setattr(crownkernel.exact, "_dsatur", counted)
     return calls
 
 
@@ -431,6 +450,26 @@ class TestIndexCodingLength:
 
     def test_ignores_the_alpha_cap(self):
         assert index_coding_length(cycle(5), 2, Caps(alpha=1)) == 3
+
+    def test_one_full_clique_search_on_the_base_graph_only(self, catalog5, monkeypatch):
+        cases = [(g, ind) for g, _, _, ind, _ in catalog5] + [(cycle(5), 3), (cycle(7), 4)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_colorable called")
+
+        searched = []
+        full = crownkernel.exact.max_clique_set
+
+        def counted(graph):
+            searched.append(graph.n)
+            return full(graph)
+
+        monkeypatch.setattr(crownkernel.exact, "is_colorable", refuse)
+        monkeypatch.setattr(crownkernel.exact, "max_clique_set", counted)
+        for g, ind in cases:
+            del searched[:]
+            assert index_coding_length(g, 2) == ind
+            assert searched == [sum(map(bool, g.adj))]  # the complement of G minus I
 
 
 class TestGF:
@@ -493,6 +532,13 @@ class TestMinrank:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             minrank(complete(6), 2, Caps(minrank=1000))
+
+    def test_isolated_vertices_add_one_each(self, catalog5):
+        # Dropping the 995 isolated vertices first leaves the search only C5.
+        assert minrank(Graph.from_edges(1000, cycle(5).edges()), 2) == 998
+        for g, *_, mr in catalog5[::101] + [(cycle(5), 3), (cycle(7), 4)]:
+            for extra in (1, 3):
+                assert minrank(Graph.from_edges(g.n + extra, g.edges()), 2) == mr + extra
 
 
 class TestCliqueCoverConstructions:
