@@ -70,13 +70,17 @@ def _report_dict(report: DecisionReport) -> dict:
     }
 
 
-def cmd_kernelize(args: argparse.Namespace) -> int:
-    graph, meta = load_instance(args.input, args.format)
+def _parameter_k(args: argparse.Namespace, meta: dict) -> int:
+    """k from --k, else from the instance; a usage error if neither has it."""
     k = args.k if args.k is not None else meta.get("k")
     if k is None:
-        print("error: no parameter k (use --k or embed it in the instance)", file=sys.stderr)
-        return EXIT_USAGE
-    kernel, _, trace = kernelize(graph, k, q=args.q)
+        raise ValueError("no parameter k (use --k or embed it in the instance)")
+    return k
+
+
+def cmd_kernelize(args: argparse.Namespace) -> int:
+    graph, meta = load_instance(args.input, args.format)
+    kernel, _, trace = kernelize(graph, _parameter_k(args, meta), q=args.q)
     trace_json = json.dumps(trace_to_dict(trace), indent=2) + "\n"
     if args.out:
         _write(args.out + ".trace.json", trace_json)
@@ -93,13 +97,9 @@ def cmd_kernelize(args: argparse.Namespace) -> int:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     graph, meta = load_instance(args.input, args.format)
-    k = args.k if args.k is not None else meta.get("k")
-    if k is None:
-        print("error: no parameter k (use --k or embed it in the instance)", file=sys.stderr)
-        return EXIT_USAGE
     problem = PROBLEMS[args.problem]
     q = args.p if problem == MINRANK else args.q
-    report = decide(problem, graph, k, q=q, caps=_caps_from_args(args))
+    report = decide(problem, graph, _parameter_k(args, meta), q=q, caps=_caps_from_args(args))
     print("YES" if report.answer else "NO")
     _write(args.out, json.dumps(_report_dict(report), indent=2) + "\n")
     return EXIT_OK if report.answer else EXIT_NO

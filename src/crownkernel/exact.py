@@ -14,6 +14,7 @@ q**k in exact arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -56,18 +57,19 @@ DEFAULT_CAPS = Caps()
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
     if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+        return p >= 2
+    return p % 2 == 1 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+
+
+def _check_alphabet(q: int) -> None:
+    if q < 2:
+        raise ValueError("alphabet size q must be >= 2")
+
+
+def _check_field(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"field modulus {p} is not prime")
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +96,7 @@ def vector_of(index: int, n: int, q: int) -> tuple[int, ...]:
 
 
 def build_confusion_graph(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> ConfusionGraph:
-    if q < 2:
-        raise ValueError("alphabet size q must be >= 2")
+    _check_alphabet(q)
     size = q**g.n
     if size > caps.confusion:
         raise CapExceeded("confusion graph size", size, caps.confusion)
@@ -136,8 +137,6 @@ def max_clique_set(g: Graph) -> tuple[int, int]:
 
     Returns (size, bitmask of one maximum clique).
     """
-    if g.n == 0:
-        return 0, 0
     return _grow_clique(g.adj, 0, (1 << g.n) - 1, 0, g.n)
 
 
@@ -198,8 +197,6 @@ def independence_number(g: Graph, caps: Caps = DEFAULT_CAPS) -> int:
     """Exact independence number alpha(G), via maximum clique on the complement."""
     if g.n > caps.alpha:
         raise CapExceeded("independence solver vertex count", g.n, caps.alpha)
-    if g.n == 0:
-        return 0
     return max_clique(g.complement())
 
 
@@ -310,8 +307,7 @@ def _front_end(
     An isolated vertex leaves alpha(Conf_q(G)) unchanged and adds exactly 1
     to Ind_q and to minrank (the isolated rule of the reduction).
     """
-    if q < 2:
-        raise ValueError("alphabet size q must be >= 2")
+    _check_alphabet(q)
     if space is None:
         space = q**g.n
         if space > caps.confusion:
@@ -411,8 +407,7 @@ class GFMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        _check_field(self.p)
         width = len(self.entries[0]) if self.entries else 0
         for row in self.entries:
             if len(row) != width:
@@ -498,8 +493,7 @@ def minrank(g: Graph, p: int, caps: Caps = DEFAULT_CAPS) -> int:
     pruning once the partial rank matches the best known bound.  Its own cap
     is `minrank`, on that search space of the input graph.
     """
-    if not is_prime(p):
-        raise ValueError(f"field modulus {p} is not prime")
+    _check_field(p)
     space = (p - 1) ** g.n * p ** (2 * g.m)
     g, isolated = _front_end(g, p, caps, "minrank search space", caps.minrank, space)
     n = g.n
@@ -562,8 +556,7 @@ class IndexCode:
 
 
 def clique_cover_index_code(g: Graph, q: int, cover: CliqueCover) -> IndexCode:
-    if q < 2:
-        raise ValueError("alphabet size q must be >= 2")
+    _check_alphabet(q)
     if not clique_cover_is_valid(g, cover):
         raise ValueError("invalid clique cover")
     ordered = tuple(cover)

@@ -46,6 +46,10 @@ class IsolatedRemoval:
 
     kind = "isolated"
 
+    @property
+    def removed(self) -> tuple[int, ...]:
+        return self.vertices
+
 
 @dataclass(frozen=True)
 class CrownReduction:
@@ -56,6 +60,11 @@ class CrownReduction:
     body: tuple[int, ...]
 
     kind = "crown"
+
+    @property
+    def removed(self) -> tuple[int, ...]:
+        """C and H; the body R stays."""
+        return self.crown + self.head
 
 
 ReductionStep = Union[IsolatedRemoval, CrownReduction]
@@ -162,11 +171,7 @@ def lift_value(trace: ReductionTrace, kernel_value: int, problem: Problem) -> in
     """
     if trace.short_circuit:
         raise ValueError("cannot lift values through a short-circuited trace")
-    removed = sum(
-        len(step.vertices) if isinstance(step, IsolatedRemoval) else len(step.crown + step.head)
-        for step in trace.steps
-    )
-    if trace.kernel_n != trace.input_n - removed:
+    if trace.kernel_n != trace.input_n - sum(len(step.removed) for step in trace.steps):
         raise ValueError("cannot lift values through a trace whose kernel is the sentinel K0")
     if problem == CAPACITY:
         if trace.q is None:
@@ -192,11 +197,7 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> Graph:
     reason = verify_trace(g, trace)
     if reason is not None:
         raise ValueError(f"trace fails verification: {reason}")
-    removed = set()
-    for step in trace.steps:
-        removed.update(
-            step.vertices if isinstance(step, IsolatedRemoval) else step.crown + step.head
-        )
+    removed = {v for step in trace.steps for v in step.removed}
     return live_subgraph(g, all_vertices(g) & ~mask_of(removed))
 
 

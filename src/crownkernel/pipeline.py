@@ -17,8 +17,9 @@ from .exact import (
     CapExceeded,
     Caps,
     DEFAULT_CAPS,
+    _check_alphabet,
+    _check_field,
     index_coding_length,
-    is_prime,
     minrank,
     storage_capacity_alpha,
 )
@@ -40,7 +41,7 @@ class DecisionReport:
     trace: ReductionTrace
     kernel_n: int
     kernel_k: int
-    confusion_size: int | None  # q**kernel_n once SC / DIC reach the solver, built or not
+    confusion_size: int | None  # q**kernel_n once SC / DIC run a solver (built or not), else None
     timings: dict[str, float]
 
 
@@ -55,6 +56,20 @@ class ValueReport:
     trace: ReductionTrace
 
 
+def _solve(problem: Problem, g: Graph, q: int, caps: Caps, where: str) -> int:
+    """The exact value of ``problem`` on ``g``; a cap error also names ``where``."""
+    # Built per call from the module's names, so a wrapper installed on one sees every call.
+    solver = {
+        CAPACITY: storage_capacity_alpha,
+        INDEX_CODING: index_coding_length,
+        MINRANK: minrank,
+    }[problem]
+    try:
+        return solver(g, q, caps)
+    except CapExceeded as exc:
+        raise CapExceeded(f"{exc.what} ({where})", exc.needed, exc.cap) from exc
+
+
 def decide(
     problem: Problem, g: Graph, k: int, q: int = 2, caps: Caps = DEFAULT_CAPS
 ) -> DecisionReport:
@@ -63,32 +78,25 @@ def decide(
     CAPACITY: Capa_q(G) >= k iff alpha(Conf_q(G')) >= q**k'.
     INDEX_CODING: Ind_q(G) <= n-k iff Ind_q(G') <= n'-k'.
     MINRANK: minrank_GF(q)(G) <= n-k iff minrank_GF(q)(G') <= n'-k'; here q is
-    the prime field modulus.  A cap error names the kernel it was hit on.
+    the prime field modulus.
+
+    Since Capa_q(G') <= n' and Ind_q, minrank >= 0, the answer is YES when
+    k' = 0 (the kernel is then the sentinel K0) and NO when k' > n'; only
+    0 < k' <= n' reaches a solver.  A cap error names the kernel it was hit
+    on.
     """
     if problem not in (CAPACITY, INDEX_CODING, MINRANK):
         raise ValueError(f"unknown problem {problem!r}")
-    if problem == MINRANK and not is_prime(q):
-        raise ValueError(f"field modulus {q} is not prime")
-    if problem != MINRANK and q < 2:
-        raise ValueError("alphabet size q must be >= 2")
+    (_check_field if problem == MINRANK else _check_alphabet)(q)
     t0 = time.perf_counter()
     kernel, kk, trace = kernelize(g, k, q=q)
     t1 = time.perf_counter()
     conf_size = None
-    if trace.short_circuit:
-        answer = True
+    if kk == 0 or kk > kernel.n:  # YES or NO with no solver
+        answer = kk == 0
     else:
-        try:
-            if problem == CAPACITY:
-                answer = storage_capacity_alpha(kernel, q, caps) >= q**kk
-            elif problem == INDEX_CODING:
-                answer = index_coding_length(kernel, q, caps) <= kernel.n - kk
-            else:
-                answer = minrank(kernel, q, caps) <= kernel.n - kk
-        except CapExceeded as exc:
-            raise CapExceeded(
-                f"{exc.what} (kernel has {kernel.n} vertices, k'={kk})", exc.needed, exc.cap
-            ) from exc
+        value = _solve(problem, kernel, q, caps, f"kernel has {kernel.n} vertices, k'={kk}")
+        answer = value >= q**kk if problem == CAPACITY else value <= kernel.n - kk
         if problem != MINRANK:
             conf_size = q**kernel.n
     t2 = time.perf_counter()
@@ -125,21 +133,17 @@ def decide_dual_minrank(
 
 def compute_values(g: Graph, q: int = 2, p: int = 2, caps: Caps = DEFAULT_CAPS) -> ValueReport:
     """Exact alpha(Conf_q), Ind_q, and minrank over GF(p) for the input graph,
-    computed on the value-mode residual and lifted through the trace."""
-    if q < 2:
-        raise ValueError("alphabet size q must be >= 2")
-    if not is_prime(p):
-        raise ValueError(f"field modulus {p} is not prime")
+    computed on the value-mode residual and lifted through the trace.  A cap
+    error names the residual it was hit on."""
+    _check_alphabet(q)
+    _check_field(p)
     residual, _, trace = kernelize(g, None, q)
-    alpha = storage_capacity_alpha(residual, q, caps)
-    ind = index_coding_length(residual, q, caps)
-    mr = minrank(residual, p, caps)
+    where = f"residual has {residual.n} vertices"
+    alpha, ind, mr = (
+        lift_value(trace, _solve(problem, residual, size, caps, where), problem)
+        for problem, size in ((CAPACITY, q), (INDEX_CODING, q), (MINRANK, p))
+    )
     return ValueReport(
-        q=q,
-        p=p,
-        alpha=lift_value(trace, alpha, CAPACITY),
-        index_coding_length=lift_value(trace, ind, INDEX_CODING),
-        minrank=lift_value(trace, mr, MINRANK),
-        residual_n=residual.n,
-        trace=trace,
+        q=q, p=p, alpha=alpha, index_coding_length=ind, minrank=mr,
+        residual_n=residual.n, trace=trace,
     )

@@ -160,7 +160,7 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "k.trace.json").exists()
 
-    def test_cap_exit_code(self, tmp_path):
+    def test_cap_exit_code(self, tmp_path, capsys):
         # K5 stops value-mode reduction at a matching, so the residual keeps
         # all 5 vertices and the confusion cap bites
         from conftest import complete
@@ -168,6 +168,8 @@ class TestCliExitCodes:
         target = tmp_path / "k5.col"
         target.write_text(write_dimacs(complete(5)))
         assert main(["solve", str(target), "--cap-conf", "4"]) == 3
+        err = capsys.readouterr().err
+        assert "residual has 5 vertices" in err and "needs 32, cap is 4" in err
 
     def test_decide_cap_names_the_kernel(self, tmp_path, capsys, monkeypatch):
         from conftest import complete

@@ -119,12 +119,15 @@ class TestAlphaChi:
         assert independence_number(empty(4)) == 4
         assert independence_number(complete(4)) == 1
         assert independence_number(star(6)) == 5
+        assert independence_number(Graph(0, ())) == 0
+        assert crownkernel.exact.max_clique_set(Graph(0, ())) == (0, 0)
 
     def test_chi_examples(self):
         assert chromatic_number(cycle(5)) == 3
         assert chromatic_number(cycle(6)) == 2
         assert chromatic_number(complete(4)) == 4
         assert chromatic_number(empty(3)) == 1
+        assert chromatic_number(Graph(0, ())) == 0
         petersen = Graph.from_edges(
             10,
             [(i, (i + 1) % 5) for i in range(5)]
@@ -232,6 +235,7 @@ class TestProblemValues:
         assert storage_capacity_alpha(complete(4), 2) == 8
         assert storage_capacity_alpha(empty(3), 2) == 1
         assert storage_capacity_alpha(star(6), 2) == 2  # Capa = 1
+        assert storage_capacity_alpha(Graph(0, ()), 2) == 1
 
     def test_index_coding_examples(self):
         assert index_coding_length(complete(4), 2) == 1
@@ -451,6 +455,34 @@ class TestIndexCodingLength:
     def test_ignores_the_alpha_cap(self):
         assert index_coding_length(cycle(5), 2, Caps(alpha=1)) == 3
 
+    def test_colorability_loop_alone_pins_ind(self, catalog5, monkeypatch):
+        # alpha = q**n is a valid upper bound on alpha(Conf_q(G)), so the
+        # counting bound drops to 1 and the DSATUR loop over the confusion
+        # graph must find Ind_q itself.  This catches a loop that always
+        # answers colorable; one that never does would pass, since no graph
+        # within the default caps is known with Ind_q < cc(G).
+        cases = [(g, 2, ind) for g, _, _, ind, _ in catalog5]
+        cases += [(g, 3, index_coding_length(g, 3)) for g in all_labeled_graphs(4)]
+
+        confs = []
+        searched = []
+        search = crownkernel.exact._dsatur
+
+        def weak(g, q, caps, conf):
+            confs.append(conf)
+            return crownkernel.exact._chi(g.complement())[0], q**g.n
+
+        def counted(graph, k, clique):
+            searched.append(any(graph is conf for conf in confs))
+            return search(graph, k, clique)
+
+        monkeypatch.setattr(crownkernel.exact, "_cover_and_alpha", weak)
+        monkeypatch.setattr(crownkernel.exact, "_dsatur", counted)
+        for g, q, ind in cases:
+            del confs[:]
+            assert index_coding_length(g, q) == ind
+        assert any(searched)
+
     def test_one_full_clique_search_on_the_base_graph_only(self, catalog5, monkeypatch):
         cases = [(g, ind) for g, _, _, ind, _ in catalog5] + [(cycle(5), 3), (cycle(7), 4)]
 
@@ -506,6 +538,7 @@ class TestMinrank:
         assert minrank(Graph.from_edges(3, [(0, 1)]), 2) == 2
         assert minrank(cycle(5), 2) == 3
         assert minrank(star(6), 2) == 5
+        assert minrank(Graph(0, ()), 2) == 0
 
     def test_bounds_random(self, rng):
         for _ in range(40):

@@ -1,10 +1,12 @@
 import dataclasses
 import random
+import time
 import types
 
 import pytest
 
 import crownkernel
+import crownkernel.pipeline
 from crownkernel import (
     CAPACITY,
     INDEX_CODING,
@@ -21,8 +23,9 @@ from crownkernel.exact import (
     index_coding_length,
     minrank,
 )
+from crownkernel.generators import gen_crown_planted
 
-from conftest import all_labeled_graphs, complete, empty, random_graph, star
+from conftest import all_labeled_graphs, complete, empty, path, random_graph, star
 
 
 def untimed(report):
@@ -109,6 +112,50 @@ class TestDecide:
                 assert dmr.answer == (mr <= g.n - k)
                 for problem, report in ((CAPACITY, sc), (INDEX_CODING, dic), (MINRANK, dmr)):
                     assert untimed(decide(problem, g, k)) == untimed(report)
+
+
+class TestTrivialAnswers:
+    """k' = 0 is YES and k' > n' is NO, on any kernel and with no solver:
+    Capa_q(G') <= n' and Ind_q(G'), minrank(G') >= 0."""
+
+    @pytest.fixture
+    def no_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        for name in ("storage_capacity_alpha", "index_coding_length", "minrank"):
+            monkeypatch.setattr(crownkernel.pipeline, name, refuse)
+
+    def test_k_far_beyond_the_kernel_is_no_at_once(self):
+        start = time.process_time()
+        assert not decide(CAPACITY, star(6), 10**9, q=3).answer
+        assert time.process_time() - start < 1
+
+    def test_k_beyond_the_kernel_is_no_within_the_caps(self):
+        report = decide(INDEX_CODING, path(20), 40)
+        assert not report.answer and (report.kernel_n, report.kernel_k) == (20, 40)
+
+    @pytest.mark.parametrize("problem", [CAPACITY, INDEX_CODING, MINRANK])
+    def test_no_solver_runs(self, problem, no_solver):
+        # One crown step (|H| = 2) takes k from 5 to 3, and the rest has a
+        # matching of size 3.
+        hub, _ = gen_crown_planted(5, 3, 5, random.Random(2))
+        report = decide(problem, hub, 5)
+        assert report.answer and report.trace.short_circuit
+        assert [step.kind for step in report.trace.steps] == ["crown"]
+        assert report.confusion_size is None
+        for k in (0, -1):
+            report = decide(problem, hub, k)
+            assert report.answer and not report.trace.short_circuit
+            assert (report.kernel_n, report.kernel_k, report.confusion_size) == (0, 0, None)
+        # k' = 1 on the empty graph the star's crown step leaves, and
+        # k' = n + 1 on the hub, which no crown step can shrink.
+        for g, k in ((star(6), 2), (hub, hub.n + 1)):
+            report = decide(problem, g, k)
+            assert not report.answer and report.kernel_k > report.kernel_n
+            assert report.confusion_size is None
+        with pytest.raises(AssertionError, match="solver called"):
+            decide(problem, complete(3), 2)
 
 
 class TestComputeValues:
