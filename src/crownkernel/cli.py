@@ -36,17 +36,11 @@ PROBLEMS = {"sc": CAPACITY, "dic": INDEX_CODING, "dmr": MINRANK}
 
 
 def _caps_from_args(args: argparse.Namespace) -> Caps:
-    return Caps(
-        confusion=args.cap_conf,
-        alpha=args.cap_alpha,
-        chi=args.cap_chi,
-        minrank=args.cap_minrank,
-    )
+    return Caps(alpha=args.cap_alpha, chi=args.cap_chi, minrank=args.cap_minrank)
 
 
 def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
     defaults = Caps()
-    parser.add_argument("--cap-conf", type=int, default=defaults.confusion)
     parser.add_argument("--cap-alpha", type=int, default=defaults.alpha)
     parser.add_argument("--cap-chi", type=int, default=defaults.chi)
     parser.add_argument("--cap-minrank", type=int, default=defaults.minrank)
@@ -70,17 +64,19 @@ def _report_dict(report: DecisionReport) -> dict:
     }
 
 
-def _parameter_k(args: argparse.Namespace, meta: dict) -> int:
-    """k from --k, else from the instance; a usage error if neither has it."""
-    k = args.k if args.k is not None else meta.get("k")
-    if k is None:
+def _parameter(args: argparse.Namespace, meta: dict, name: str) -> int:
+    """k, q or p: the flag, else the instance, else 2 (q and p); no k is a usage error."""
+    value = getattr(args, name)
+    if value is None:
+        value = meta.get(name)
+    if value is None and name == "k":
         raise ValueError("no parameter k (use --k or embed it in the instance)")
-    return k
+    return 2 if value is None else value
 
 
 def cmd_kernelize(args: argparse.Namespace) -> int:
     graph, meta = load_instance(args.input, args.format)
-    kernel, _, trace = kernelize(graph, _parameter_k(args, meta), q=args.q)
+    kernel, _, trace = kernelize(graph, _parameter(args, meta, "k"), q=_parameter(args, meta, "q"))
     trace_json = json.dumps(trace_to_dict(trace), indent=2) + "\n"
     if args.out:
         _write(args.out + ".trace.json", trace_json)
@@ -98,8 +94,8 @@ def cmd_kernelize(args: argparse.Namespace) -> int:
 def cmd_decide(args: argparse.Namespace) -> int:
     graph, meta = load_instance(args.input, args.format)
     problem = PROBLEMS[args.problem]
-    q = args.p if problem == MINRANK else args.q
-    report = decide(problem, graph, _parameter_k(args, meta), q=q, caps=_caps_from_args(args))
+    q = _parameter(args, meta, "p" if problem == MINRANK else "q")
+    report = decide(problem, graph, _parameter(args, meta, "k"), q=q, caps=_caps_from_args(args))
     print("YES" if report.answer else "NO")
     _write(args.out, json.dumps(_report_dict(report), indent=2) + "\n")
     return EXIT_OK if report.answer else EXIT_NO
@@ -107,8 +103,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     graph, meta = load_instance(args.input, args.format)
-    q = args.q if args.q is not None else meta.get("q", 2)
-    p = args.p if args.p is not None else meta.get("p", 2)
+    q, p = _parameter(args, meta, "q"), _parameter(args, meta, "p")
     report = compute_values(graph, q=q, p=p, caps=_caps_from_args(args))
     exponent = None
     power = 1
@@ -181,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern = sub.add_parser("kernelize", help="reduce an instance and emit kernel + trace")
     p_kern.add_argument("input")
     p_kern.add_argument("--k", type=int, default=None)
-    p_kern.add_argument("--q", type=int, default=2)
+    p_kern.add_argument("--q", type=int, default=None)
     p_kern.add_argument("--format", choices=["dimacs", "json"], default=None)
     p_kern.add_argument("--out", default=None, help="output prefix for kernel and trace files")
     p_kern.set_defaults(func=cmd_kernelize)
@@ -190,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("problem", choices=list(PROBLEMS))
     p_dec.add_argument("input")
     p_dec.add_argument("--k", type=int, default=None)
-    p_dec.add_argument("--q", type=int, default=2)
-    p_dec.add_argument("--p", type=int, default=2)
+    p_dec.add_argument("--q", type=int, default=None)
+    p_dec.add_argument("--p", type=int, default=None)
     p_dec.add_argument("--format", choices=["dimacs", "json"], default=None)
     p_dec.add_argument("--out", default=None)
     _add_cap_flags(p_dec)

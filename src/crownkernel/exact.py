@@ -42,15 +42,15 @@ class CapExceeded(RuntimeError):
 class Caps:
     """Size limits for the exact solvers; exceeding one raises, never approximates.
 
-    The solvers' shared front end checks q, then `confusion` (SC and DIC),
-    then the solver's own cap, on the input graph before anything is built;
-    the base-graph bounds that follow are uncapped.
+    Each cap bounds one search, checked by the solvers' shared front end
+    after q, on the input graph, before anything is built; the base-graph
+    bounds that follow are uncapped.  A confusion-graph build refuses q**n
+    above the larger of the alpha and chi caps, since no search takes more.
     """
 
-    confusion: int = 2**20  # max vertex count q**n of a confusion graph
-    alpha: int = 4096  # max vertex count for independence_number; SC's own cap on q**n
-    chi: int = 512  # max vertex count for chromatic_number / is_colorable; DIC's own cap on q**n
-    minrank: int = 2**40  # max nominal search space (p-1)**n * p**(2m); minrank's own cap
+    alpha: int = 4096  # max vertex count for independence_number; SC's cap on q**n
+    chi: int = 512  # max vertex count for chromatic_number / is_colorable; DIC's cap on q**n
+    minrank: int = 2**40  # max nominal search space (p-1)**n * p**(2m); minrank's cap
 
 
 DEFAULT_CAPS = Caps()
@@ -96,10 +96,11 @@ def vector_of(index: int, n: int, q: int) -> tuple[int, ...]:
 
 
 def build_confusion_graph(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> ConfusionGraph:
+    """Conf_q(G), refused before allocation above the larger of the alpha and chi caps."""
     _check_alphabet(q)
-    size = q**g.n
-    if size > caps.confusion:
-        raise CapExceeded("confusion graph size", size, caps.confusion)
+    size, cap = q**g.n, max(caps.alpha, caps.chi)
+    if size > cap:
+        raise CapExceeded("confusion graph size", size, cap)
     n = g.n
     digits = [vector_of(v, n, q) for v in range(size)]
     adj = [0] * size
@@ -296,22 +297,15 @@ def _chi(g: Graph) -> tuple[int, int]:
 # Problem values: the front end the exact solvers share
 
 
-def _front_end(
-    g: Graph, q: int, caps: Caps, what: str, cap: int, space: int | None = None
-) -> tuple[Graph, int]:
+def _front_end(g: Graph, q: int, what: str, cap: int, space: int) -> tuple[Graph, int]:
     """The cap preamble, then the isolated-vertex rule: (G - I, |I|).
 
     On the input graph and before anything is allocated, it checks q, then
-    the confusion cap against q**n unless the solver gives its own search
-    ``space``, then the solver's own cap against ``space`` (default q**n).
-    An isolated vertex leaves alpha(Conf_q(G)) unchanged and adds exactly 1
-    to Ind_q and to minrank (the isolated rule of the reduction).
+    the solver's one cap against its search ``space``.  An isolated vertex
+    leaves alpha(Conf_q(G)) unchanged and adds exactly 1 to Ind_q and to
+    minrank (the isolated rule of the reduction).
     """
     _check_alphabet(q)
-    if space is None:
-        space = q**g.n
-        if space > caps.confusion:
-            raise CapExceeded("confusion graph size", space, caps.confusion)
     if space > cap:
         raise CapExceeded(what, space, cap)
     core = [v for v in range(g.n) if g.adj[v]]
@@ -356,7 +350,7 @@ def storage_capacity_alpha(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:
 
     Its own cap is `alpha`; Conf_q(G) is built only in the bounds' gap.
     """
-    g, _ = _front_end(g, q, caps, "independence solver vertex count", caps.alpha)
+    g, _ = _front_end(g, q, "independence solver vertex count", caps.alpha, q**g.n)
     return _cover_and_alpha(g, q, caps)[1]
 
 
@@ -383,7 +377,7 @@ def index_coding_length(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> int:
     Conf_q(G) is the join of q**|I| copies of Conf_q(G - I), where the clique
     search proves its bound only slowly.
     """
-    g, isolated = _front_end(g, q, caps, "index coding solver confusion size", caps.chi)
+    g, isolated = _front_end(g, q, "index coding solver confusion size", caps.chi, q**g.n)
     conf = build_confusion_graph(g, q, caps).graph
     cover_number, alpha = _cover_and_alpha(g, q, caps, conf)
     lower, clique = _grow_clique(conf.adj, 1, conf.adj[0], -(-conf.n // alpha), conf.n)
@@ -495,7 +489,7 @@ def minrank(g: Graph, p: int, caps: Caps = DEFAULT_CAPS) -> int:
     """
     _check_field(p)
     space = (p - 1) ** g.n * p ** (2 * g.m)
-    g, isolated = _front_end(g, p, caps, "minrank search space", caps.minrank, space)
+    g, isolated = _front_end(g, p, "minrank search space", caps.minrank, space)
     n = g.n
     cover_bound = len(greedy_clique_cover(g))
     lower = max_clique(g.complement())  # alpha(G) <= minrank

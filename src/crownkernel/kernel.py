@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Literal, Union
 
 from .crown import _crown_or_matching
+from .exact import _check_alphabet
 from .graph import (
     Graph,
     K0,
@@ -103,8 +104,10 @@ def kernelize(g: Graph, k: int | None, q: int | None = None) -> tuple[Graph, int
     ``k=None`` is value mode: each round asks for the largest k' with
     n >= 3k'-2, and a matching ends the loop without a YES (only the
     equality rules may feed the value ledger).  The residual graph is
-    returned with k' = 0 and recorded with input k = 0.
+    returned with k' = 0 and recorded with input k = 0; q < 2 is refused.
     """
+    if q is not None:
+        _check_alphabet(q)
     value_mode = k is None
     steps: list[ReductionStep] = []
     capacity_offset = 0
@@ -166,9 +169,12 @@ def lift_value(trace: ReductionTrace, kernel_value: int, problem: Problem) -> in
     confusion graph: alpha_input = alpha_kernel * q ** capacity_offset (the
     trace must carry q).  For index coding length and minrank the lift adds
     the dual offset.  Short-circuited traces carry an inequality, not an
-    equality, and are refused, as are traces whose kernel is the sentinel K0
-    rather than the graph the steps leave (k used up by the steps, or k <= 0).
+    equality, and are refused, as are traces with q < 2 and traces whose
+    kernel is the sentinel K0 rather than the graph the steps leave (k used
+    up by the steps, or k <= 0).
     """
+    if trace.q is not None:
+        _check_alphabet(trace.q)
     if trace.short_circuit:
         raise ValueError("cannot lift values through a short-circuited trace")
     if trace.kernel_n != trace.input_n - sum(len(step.removed) for step in trace.steps):
@@ -204,16 +210,18 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> Graph:
 def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
     """Check a trace against its input graph; None if consistent, else a reason.
 
-    Validates step applicability (removed vertices isolated, crown clauses
-    hold with a full H-into-C matching), the recorded offsets, and the kernel
-    size/parameter bookkeeping: unless short-circuited, k' = max(k - |H| summed
-    over crown steps, 0).  The steps are checked on a mask of the
-    vertices still live in ``g``; no intermediate graph is built.
+    Validates the input's n, m and q (q >= 2), step applicability (removed
+    vertices isolated, crown clauses hold with a full H-into-C matching), the
+    recorded offsets, and the kernel size/parameter bookkeeping: unless
+    short-circuited, k' = max(k - |H| summed over crown steps, 0).  Steps are
+    checked on a mask of the live vertices of ``g``; no intermediate graph is built.
     """
     if trace.input_n != g.n:
         return "input-n-mismatch"
     if trace.input_m != g.m:
         return "input-m-mismatch"
+    if trace.q is not None and trace.q < 2:
+        return "input-q-below-2"
     live = all_vertices(g)
     capacity_offset = 0
     dual_offset = 0

@@ -162,12 +162,12 @@ class TestCliExitCodes:
 
     def test_cap_exit_code(self, tmp_path, capsys):
         # K5 stops value-mode reduction at a matching, so the residual keeps
-        # all 5 vertices and the confusion cap bites
+        # all 5 vertices and the alpha cap bites
         from conftest import complete
 
         target = tmp_path / "k5.col"
         target.write_text(write_dimacs(complete(5)))
-        assert main(["solve", str(target), "--cap-conf", "4"]) == 3
+        assert main(["solve", str(target), "--cap-alpha", "4"]) == 3
         err = capsys.readouterr().err
         assert "residual has 5 vertices" in err and "needs 32, cap is 4" in err
 
@@ -185,10 +185,16 @@ class TestCliExitCodes:
         monkeypatch.setattr(crownkernel.pipeline, "kernelize", counted)
         target = tmp_path / "k5.col"
         target.write_text(write_dimacs(complete(5)))
-        assert main(["decide", "sc", str(target), "--k", "3", "--cap-conf", "4"]) == 3
+        assert main(["decide", "sc", str(target), "--k", "3", "--cap-alpha", "4"]) == 3
         err = capsys.readouterr().err
         assert "kernel has 5 vertices, k'=3" in err and "needs 32, cap is 4" in err
         assert len(calls) == 1
+
+    def test_there_is_no_confusion_cap_flag(self, star_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", star_file, "--cap-conf", "4"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --cap-conf 4" in capsys.readouterr().err
 
     def test_solve_output(self, star_file, capsys):
         assert main(["solve", star_file]) == 0
@@ -197,6 +203,48 @@ class TestCliExitCodes:
         assert payload["alpha"] == 2
         assert payload["index_coding_length"] == 5
         assert payload["minrank"] == 5
+
+
+class TestParameters:
+    """k, q and p come from the flag, else the instance, else 2 (q and p)."""
+
+    @pytest.fixture
+    def instance(self, tmp_path):
+        target = tmp_path / "edge.json"
+        target.write_text('{"n": 2, "adj": [[1], [0]], "k": 1, "q": 3, "p": 3}')
+        return str(target)
+
+    @pytest.mark.parametrize(
+        "command, flags, q",
+        [
+            (["decide", "sc"], [], 3),
+            (["decide", "dmr"], [], 3),
+            (["kernelize"], [], 3),
+            (["decide", "sc"], ["--q", "2"], 2),
+            (["decide", "dmr"], ["--p", "2"], 2),
+            (["kernelize"], ["--q", "2"], 2),
+        ],
+    )
+    def test_trace_records_the_alphabet_size(self, instance, tmp_path, command, flags, q):
+        out = str(tmp_path / "out")
+        assert main(command + [instance, *flags, "--out", out]) == 0
+        if command == ["kernelize"]:
+            trace = json.loads(open(out + ".trace.json").read())
+        else:
+            trace = json.loads(open(out).read())["trace"]
+        assert trace["input"]["q"] == q
+
+    @pytest.mark.parametrize("flags, q, p", [([], 3, 3), (["--q", "2"], 2, 3), (["--p", "2"], 3, 2)])
+    def test_solve(self, instance, capsys, flags, q, p):
+        assert main(["solve", instance, *flags]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["q"], payload["p"], payload["trace"]["input"]["q"]) == (q, p, q)
+
+    def test_alphabet_size_below_2_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "q1.json"
+        target.write_text('{"n": 2, "adj": [[1], [0]], "k": 1, "q": 1}')
+        assert main(["kernelize", str(target)]) == 2
+        assert capsys.readouterr().err.strip() == "error: alphabet size q must be >= 2"
 
 
 class TestKernelizeCommand:
@@ -324,6 +372,18 @@ class TestGenAndVerify:
         trace_path.write_text(json.dumps(obj))
         capsys.readouterr()
         assert main(["verify", star_file, str(trace_path)]) == 0
+
+    def test_verify_rejects_an_alphabet_size_below_2(self, star_file, tmp_path, capsys):
+        prefix = str(tmp_path / "out")
+        main(["kernelize", star_file, "--k", "2", "--out", prefix])
+        trace_path = tmp_path / "out.trace.json"
+        obj = json.loads(trace_path.read_text())
+        assert obj["input"]["q"] == 2
+        obj["input"]["q"] = 1
+        trace_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", star_file, str(trace_path)]) == 1
+        assert capsys.readouterr().out.strip() == "FAIL: input-q-below-2"
 
     def test_verify_rejects_a_forged_kernel_parameter(self, star_file, tmp_path, capsys):
         prefix = str(tmp_path / "out")

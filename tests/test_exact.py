@@ -109,8 +109,20 @@ class TestConfusionGraph:
                     assert conf.has_edge(a, b) == confusable
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            build_confusion_graph(empty(5), 2, Caps(confusion=16))
+        # The build takes what the larger of the alpha and chi caps allows.
+        assert build_confusion_graph(empty(5), 2, Caps(alpha=16, chi=32)).graph.n == 32
+        assert build_confusion_graph(empty(5), 2, Caps(alpha=32, chi=16)).graph.n == 32
+        with pytest.raises(CapExceeded) as err:
+            build_confusion_graph(empty(5), 2, Caps(alpha=16, chi=16))
+        exc = err.value
+        assert (exc.what, exc.needed, exc.cap) == ("confusion graph size", 32, 16)
+
+    def test_default_cap_refuses_what_no_search_takes(self):
+        # Conf_2 of 13 isolated vertices is complete: 8192 masks of 8192 bits.
+        with pytest.raises(CapExceeded) as err:
+            build_confusion_graph(empty(13), 2)
+        exc = err.value
+        assert (exc.what, exc.needed, exc.cap) == ("confusion graph size", 8192, 4096)
 
 
 class TestAlphaChi:
@@ -229,6 +241,24 @@ class TestAlphaChi:
 
 
 class TestProblemValues:
+    @pytest.mark.parametrize("alpha_cap, chi_cap", itertools.product([1, 32, 64], repeat=2))
+    def test_each_solver_meets_only_its_own_cap(self, alpha_cap, chi_cap):
+        # Conf_2(C5) has 32 vertices, and both solvers build it (the
+        # sandwich 4 <= alpha <= 8 is open); the other solver's cap never
+        # refuses the build.
+        caps = Caps(alpha=alpha_cap, chi=chi_cap)
+        for solver, cap, value, what in [
+            (storage_capacity_alpha, alpha_cap, 5, "independence solver vertex count"),
+            (index_coding_length, chi_cap, 3, "index coding solver confusion size"),
+        ]:
+            if cap >= 32:
+                assert solver(cycle(5), 2, caps) == value
+                continue
+            with pytest.raises(CapExceeded) as err:
+                solver(cycle(5), 2, caps)
+            exc = err.value
+            assert (exc.what, exc.needed, exc.cap) == (what, 32, cap)
+
     def test_capacity_examples(self):
         assert storage_capacity_alpha(complete(2), 2) == 2
         assert storage_capacity_alpha(complete(3), 2) == 4
@@ -338,11 +368,11 @@ class TestStorageCapacityAlpha:
         exc = err.value
         assert (exc.what, exc.needed, exc.cap) == ("independence solver vertex count", 8192, 4096)
         with pytest.raises(CapExceeded) as err:
-            storage_capacity_alpha(path(13), 2, Caps(confusion=16, alpha=4))
+            storage_capacity_alpha(path(13), 2, Caps(alpha=4))
         exc = err.value
-        assert (exc.what, exc.needed, exc.cap) == ("confusion graph size", 8192, 16)
+        assert (exc.what, exc.needed, exc.cap) == ("independence solver vertex count", 8192, 4)
         with pytest.raises(ValueError):
-            storage_capacity_alpha(path(3), 1, Caps(confusion=0))
+            storage_capacity_alpha(path(3), 1, Caps(alpha=0))
 
     def test_closed_sandwich_takes_at_most_two_clique_searches(self, catalog5, monkeypatch):
         closed = [(g, alpha) for g, alpha, *_ in catalog5 if len(set(base_bounds(g, 2))) == 1]
@@ -446,11 +476,11 @@ class TestIndexCodingLength:
         exc = err.value
         assert (exc.what, exc.needed, exc.cap) == ("index coding solver confusion size", 8192, 512)
         with pytest.raises(CapExceeded) as err:
-            index_coding_length(path(13), 2, Caps(confusion=16, chi=4))
+            index_coding_length(path(13), 2, Caps(chi=4))
         exc = err.value
-        assert (exc.what, exc.needed, exc.cap) == ("confusion graph size", 8192, 16)
+        assert (exc.what, exc.needed, exc.cap) == ("index coding solver confusion size", 8192, 4)
         with pytest.raises(ValueError):
-            index_coding_length(path(3), 1, Caps(confusion=0))
+            index_coding_length(path(3), 1, Caps(chi=0))
 
     def test_ignores_the_alpha_cap(self):
         assert index_coding_length(cycle(5), 2, Caps(alpha=1)) == 3

@@ -266,6 +266,20 @@ def test_verify_trace_holds_value_mode_to_kernel_parameter_zero():
     assert verify_trace(g, dataclasses.replace(trace, kernel_k=1)) == "kernel-k-mismatch"
 
 
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_alphabet_size_below_2_is_refused(q):
+    g = star(6)
+    for k in (None, 2):
+        with pytest.raises(ValueError, match="alphabet size q must be >= 2"):
+            kernelize(g, k, q=q)
+    _, _, trace = kernelize(g, None, q=2)
+    bad = dataclasses.replace(trace, q=q)
+    assert verify_trace(g, bad) == "input-q-below-2"
+    for problem in (CAPACITY, INDEX_CODING, MINRANK):
+        with pytest.raises(ValueError, match="alphabet size q must be >= 2"):
+            lift_value(bad, 1, problem)
+
+
 class TestVerifyTraceMalformedSteps:
     def _trace(self, g, steps, capacity=0, dual=0):
         return ReductionTrace(
