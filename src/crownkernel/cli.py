@@ -39,11 +39,17 @@ def _caps_from_args(args: argparse.Namespace) -> Caps:
     return Caps(alpha=args.cap_alpha, chi=args.cap_chi, minrank=args.cap_minrank)
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is below 1")
+    return int(text)
+
+
 def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
     defaults = Caps()
-    parser.add_argument("--cap-alpha", type=int, default=defaults.alpha)
-    parser.add_argument("--cap-chi", type=int, default=defaults.chi)
-    parser.add_argument("--cap-minrank", type=int, default=defaults.minrank)
+    parser.add_argument("--cap-alpha", type=_positive_int, default=defaults.alpha)
+    parser.add_argument("--cap-chi", type=_positive_int, default=defaults.chi)
+    parser.add_argument("--cap-minrank", type=_positive_int, default=defaults.minrank)
 
 
 def _write(path: str | None, text: str) -> None:

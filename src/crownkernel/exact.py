@@ -87,46 +87,40 @@ class ConfusionGraph:
     graph: Graph
 
 
-def vector_of(index: int, n: int, q: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(index % q)
-        index //= q
-    return tuple(out)
-
-
 def build_confusion_graph(g: Graph, q: int, caps: Caps = DEFAULT_CAPS) -> ConfusionGraph:
-    """Conf_q(G), refused before allocation above the larger of the alpha and chi caps."""
+    """Conf_q(G), refused before allocation above the larger of the alpha and chi caps.
+
+    Conf_q(G) is a Cayley graph on Z_q**n: whether x and y conflict depends
+    only on x - y.  So row 0 is the connection set S of the d with d_i != 0
+    and d_j = 0 on N(i) for some i, and row x is row x - q**j translated by
+    e_j for any digit x_j >= 1.  That costs one q**n-bit row per vertex, each
+    made by a few mask operations; the per-digit masks are repeated bit
+    patterns, one multiplication each.
+    """
     _check_alphabet(q)
     size, cap = q**g.n, max(caps.alpha, caps.chi)
     if size > cap:
         raise CapExceeded("confusion graph size", size, cap)
-    n = g.n
-    digits = [vector_of(v, n, q) for v in range(size)]
-    adj = [0] * size
-    for i in range(n):
-        nbrs = g.neighbors(i)
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for v in range(size):
-            dv = digits[v]
-            key = tuple(dv[j] for j in nbrs)
-            bucket = buckets.get(key)
-            if bucket is None:
-                bucket = [0] * q
-                buckets[key] = bucket
-            bucket[dv[i]] |= 1 << v
-        for bucket in buckets.values():
-            total = 0
-            for m in bucket:
-                total |= m
-            for m in bucket:
-                if not m:
-                    continue
-                other = total & ~m
-                if other:
-                    for v in bits(m):
-                        adj[v] |= other
-    return ConfusionGraph(base=g, q=q, graph=Graph._trusted(size, tuple(adj)))
+    full = (1 << size) - 1
+    steps = [q**j for j in range(g.n)]
+    # repeat[j] has one bit every q**(j + 1); times 2**c - 1 it repeats c ones.
+    repeat = [full // ((1 << q * step) - 1) for step in steps]
+    zero = [((1 << step) - 1) * rep for step, rep in zip(steps, repeat)]  # digit j is 0
+    connection = 0
+    for i in range(g.n):
+        row = full & ~zero[i]
+        for j in g.neighbors(i):
+            row &= zero[j]
+        connection |= row
+    adj = [connection]
+    for step, rep in zip(steps, repeat):
+        low = ((1 << (q - 1) * step) - 1) * rep  # digit j below q - 1: it goes up by 1
+        high, wrap = full & ~low, (q - 1) * step  # digit j is q - 1: it goes to 0
+        for x in range(step, q * step):
+            r = adj[x - step]
+            adj.append((r & low) << step | (r & high) >> wrap)
+    m = size * connection.bit_count() // 2
+    return ConfusionGraph(base=g, q=q, graph=Graph._trusted(size, tuple(adj), m))
 
 
 # ---------------------------------------------------------------------------

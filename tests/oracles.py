@@ -17,9 +17,16 @@ from crownkernel.exact import (
     gf_rank,
     is_prime,
     matrix_represents,
-    vector_of,
 )
 from crownkernel.graph import Graph, Matching, all_vertices, bits, members
+
+
+def vector_of(index: int, n: int, q: int) -> tuple[int, ...]:
+    out = []
+    for _ in range(n):
+        out.append(index % q)
+        index //= q
+    return tuple(out)
 
 
 def index_of(vector: Sequence[int], q: int) -> int:
@@ -27,6 +34,39 @@ def index_of(vector: Sequence[int], q: int) -> int:
     for digit in reversed(vector):
         idx = idx * q + digit
     return idx
+
+
+def build_confusion_graph_reference(g: Graph, q: int) -> Graph:
+    """Conf_q(G) as first built: for each base vertex i, the q**n vectors
+    bucketed by their digits on N(i), and every two vectors of one bucket
+    that differ at i joined; same graph as ``exact.build_confusion_graph``."""
+    n = g.n
+    size = q**n
+    digits = [vector_of(v, n, q) for v in range(size)]
+    adj = [0] * size
+    for i in range(n):
+        nbrs = g.neighbors(i)
+        buckets: dict[tuple[int, ...], list[int]] = {}
+        for v in range(size):
+            dv = digits[v]
+            key = tuple(dv[j] for j in nbrs)
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = [0] * q
+                buckets[key] = bucket
+            bucket[dv[i]] |= 1 << v
+        for bucket in buckets.values():
+            total = 0
+            for m in bucket:
+                total |= m
+            for m in bucket:
+                if not m:
+                    continue
+                other = total & ~m
+                if other:
+                    for v in bits(m):
+                        adj[v] |= other
+    return Graph._trusted(size, tuple(adj))
 
 
 def greedy_maximal_matching_reference(g: Graph, live: int | None = None) -> Matching:

@@ -196,6 +196,19 @@ class TestCliExitCodes:
         assert err.value.code == 2
         assert "unrecognized arguments: --cap-conf 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--cap-alpha", "--cap-chi", "--cap-minrank"])
+    @pytest.mark.parametrize("command", [["decide", "sc", "--k", "1"], ["solve"]])
+    def test_a_cap_below_1_is_a_usage_error(self, star_file, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(command + [star_file, flag, value])
+        assert err.value.code == 2
+        assert f"argument {flag}: {value} is below 1" in capsys.readouterr().err
+
+    def test_a_cap_of_1_is_accepted(self, star_file):
+        # The 6-star's residual is empty, so no search meets the cap.
+        assert main(["solve", star_file, "--cap-alpha", "1"]) == 0
+
     def test_solve_output(self, star_file, capsys):
         assert main(["solve", star_file]) == 0
         out = capsys.readouterr().out

@@ -24,13 +24,13 @@ from crownkernel.exact import (
     max_clique,
     minrank,
     storage_capacity_alpha,
-    vector_of,
 )
 from crownkernel.generators import gen_complete, gen_empty, gen_gnp
 from crownkernel.graph import greedy_clique_cover
 
 from conftest import all_labeled_graphs, complete, empty, path, random_graph, star
 from oracles import (
+    build_confusion_graph_reference,
     chromatic_number_by_subsets,
     dsatur_coloring_reference,
     grow_clique_reference,
@@ -39,6 +39,7 @@ from oracles import (
     minrank_pattern_bruteforce,
     oracle_index_code,
     oracle_storage_code,
+    vector_of,
 )
 
 
@@ -123,6 +124,48 @@ class TestConfusionGraph:
             build_confusion_graph(empty(13), 2)
         exc = err.value
         assert (exc.what, exc.needed, exc.cap) == ("confusion graph size", 8192, 4096)
+
+
+def assert_same_as_reference(g, q):
+    conf = build_confusion_graph(g, q).graph
+    reference = build_confusion_graph_reference(g, q)
+    assert conf == reference, (q, g.n, g.edges())
+    assert conf.m == reference.m  # the build's edge count against a popcount
+
+
+class TestConfusionGraphMatchesReference:
+    """The translation build against the bucket build it replaced."""
+
+    def test_all_5_vertex_graphs_at_q2(self, catalog5):
+        for g, *_ in catalog5:
+            assert_same_as_reference(g, 2)
+
+    def test_all_graphs_on_at_most_4_vertices_at_q3(self):
+        for n in range(5):
+            for g in all_labeled_graphs(n):
+                assert_same_as_reference(g, 3)
+
+    @pytest.mark.parametrize("q, max_n", [(4, 4), (5, 4), (6, 3), (7, 3)])
+    def test_seeded_samples_at_larger_q(self, q, max_n):
+        rng = random.Random(q)
+        for _ in range(25):
+            assert_same_as_reference(random_graph(rng, rng.randint(0, max_n), rng.random()), q)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_edge_cases(self, q):
+        assert_same_as_reference(Graph(0, ()), q)
+        for n in (1, 3):
+            assert_same_as_reference(empty(n), q)
+            assert_same_as_reference(complete(n), q)
+        # A triangle plus two isolated vertices, the isolated ones in between.
+        assert_same_as_reference(Graph.from_edges(5, [(0, 2), (2, 4), (0, 4)]), q)
+
+    def test_at_the_default_cap(self):
+        rng = random.Random(12)
+        for _ in range(3):
+            g = gen_gnp(12, 0.4, rng)
+            assert 2**g.n == Caps().alpha
+            assert_same_as_reference(g, 2)
 
 
 class TestAlphaChi:
