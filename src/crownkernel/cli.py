@@ -82,7 +82,7 @@ def _parameter(args: argparse.Namespace, meta: dict, name: str) -> int:
 
 def cmd_kernelize(args: argparse.Namespace) -> int:
     graph, meta = load_instance(args.input, args.format)
-    kernel, _, trace = kernelize(graph, _parameter(args, meta, "k"), q=_parameter(args, meta, "q"))
+    kernel, kk, trace = kernelize(graph, _parameter(args, meta, "k"), q=_parameter(args, meta, "q"))
     trace_json = json.dumps(trace_to_dict(trace), indent=2) + "\n"
     if args.out:
         _write(args.out + ".trace.json", trace_json)
@@ -90,6 +90,7 @@ def cmd_kernelize(args: argparse.Namespace) -> int:
                dump_graph(kernel, args.format or "dimacs"))
     else:
         combined = {
+            "kernel": {"n": kernel.n, "k": kk},
             "trace": trace_to_dict(trace),
             "kernel_graph": {"n": kernel.n, "adj": [kernel.neighbors(v) for v in range(kernel.n)]},
         }

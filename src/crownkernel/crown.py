@@ -71,7 +71,8 @@ def _crown_reason(
     witness: tuple[tuple[int, int], ...],
 ) -> str | None:
     """``check_crown`` on the three parts as vertex masks; a part is None
-    when it names an id that is not a vertex of ``g``."""
+    when it names an id that is not a vertex of ``g``.  The one crown check:
+    crown files, built crowns and trace steps all go through it."""
     if crown == 0:
         return "empty-crown"
     if head == 0:
@@ -104,7 +105,7 @@ def _crown_reason(
         or witness_crowns & ~crown
     ):
         return "witness-not-a-matching-of-head-into-crown"
-    if not matching_is_valid(g, [tuple(e) for e in witness]):
+    if not matching_is_valid(g, witness):
         return "witness-edges-invalid"
     return None
 

@@ -198,20 +198,24 @@ def _int(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _bool(obj: dict, key: str, where: str) -> bool:
-    """The value ``obj[key]``, which must be true or false."""
-    value = obj[key]
-    if not isinstance(value, bool):
-        raise FormatError(f"{where}: {key!r} must be true or false")
-    return value
+def _pairs(obj: dict, key: str, where: str) -> tuple[Edge, ...]:
+    """The value ``obj[key]``, which must be a JSON list of integer pairs."""
+    pairs = _list(obj, key, where)
+    for idx, edge in enumerate(pairs):
+        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
+            raise FormatError(f"{where}: {key!r}[{idx}] must be a pair of integer vertex ids")
+    return tuple(tuple(edge) for edge in pairs)
 
 
+TRACE_VERSION = 2
 _INPUT_KEYS = frozenset({"n", "m", "k", "q"})
-_KERNEL_KEYS = frozenset({"n", "k"})
-_OFFSETS_KEYS = frozenset({"capacity", "dual"})
+_TRACE_KEYS = frozenset({"version", "input", "steps", "matching"})
+_CROWN_KEYS = frozenset({"kind", "H", "C", "witness"})
 
 
 def trace_to_dict(trace: ReductionTrace, answer: bool | None = None) -> dict:
+    """The version-2 trace document: the input, the steps with their
+    witnesses, and the k'-matching (or null); nothing derived."""
     steps = []
     for step in trace.steps:
         if isinstance(step, IsolatedRemoval):
@@ -222,15 +226,14 @@ def trace_to_dict(trace: ReductionTrace, answer: bool | None = None) -> dict:
                     "kind": "crown",
                     "H": list(step.head),
                     "C": list(step.crown),
-                    "R": list(step.body),
+                    "witness": [list(edge) for edge in step.witness],
                 }
             )
     obj: dict[str, Any] = {
+        "version": TRACE_VERSION,
         "input": {"n": trace.input_n, "m": trace.input_m, "k": trace.input_k, "q": trace.q},
         "steps": steps,
-        "short_circuit": trace.short_circuit,
-        "kernel": {"n": trace.kernel_n, "k": trace.kernel_k},
-        "offsets": {"capacity": trace.capacity_offset, "dual": trace.dual_offset},
+        "matching": None if trace.matching is None else [list(e) for e in trace.matching],
     }
     if answer is not None:
         obj["answer"] = answer
@@ -238,18 +241,15 @@ def trace_to_dict(trace: ReductionTrace, answer: bool | None = None) -> dict:
 
 
 def trace_from_dict(obj: dict) -> ReductionTrace:
-    _require_keys(
-        obj,
-        {"input", "steps", "short_circuit", "kernel", "offsets", "answer"},
-        {"input", "steps", "short_circuit", "kernel", "offsets"},
-        "trace",
-    )
-    inp, kernel, offsets = obj["input"], obj["kernel"], obj["offsets"]
+    """Read a version-2 trace document; any other version is refused."""
+    version = obj.get("version") if isinstance(obj, dict) else TRACE_VERSION
+    if version != TRACE_VERSION or not _is_int(version):
+        raise FormatError(f"trace: 'version' must be {TRACE_VERSION}, not {version!r}")
+    _require_keys(obj, _TRACE_KEYS | {"answer"}, _TRACE_KEYS, "trace")
+    inp = obj["input"]
     _require_keys(inp, _INPUT_KEYS, _INPUT_KEYS, "trace.input")
-    _require_keys(kernel, _KERNEL_KEYS, _KERNEL_KEYS, "trace.kernel")
-    _require_keys(offsets, _OFFSETS_KEYS, _OFFSETS_KEYS, "trace.offsets")
-    if "answer" in obj:
-        _bool(obj, "answer", "trace")
+    if "answer" in obj and not isinstance(obj["answer"], bool):
+        raise FormatError("trace: 'answer' must be true or false")
     steps: list[ReductionStep] = []
     for idx, step in enumerate(_list(obj, "steps", "trace")):
         where = f"trace.steps[{idx}]"
@@ -259,22 +259,18 @@ def trace_from_dict(obj: dict) -> ReductionTrace:
             _require_keys(step, {"kind", "vertices"}, {"kind", "vertices"}, where)
             steps.append(IsolatedRemoval(tuple(_list(step, "vertices", where))))
         elif step["kind"] == "crown":
-            _require_keys(step, {"kind", "H", "C", "R"}, {"kind", "H", "C", "R"}, where)
-            crown, head, body = (tuple(_list(step, key, where)) for key in ("C", "H", "R"))
-            steps.append(CrownReduction(crown=crown, head=head, body=body))
+            _require_keys(step, _CROWN_KEYS, _CROWN_KEYS, where)
+            crown, head = (tuple(_list(step, key, where)) for key in ("C", "H"))
+            steps.append(CrownReduction(crown, head, _pairs(step, "witness", where)))
         else:
             raise FormatError(f"{where}: unknown kind {step['kind']!r}")
     return ReductionTrace(
         input_n=_int(inp, "n", "trace.input"),
         input_m=_int(inp, "m", "trace.input"),
-        input_k=_int(inp, "k", "trace.input"),
+        input_k=None if inp["k"] is None else _int(inp, "k", "trace.input"),
         q=None if inp["q"] is None else _int(inp, "q", "trace.input"),
         steps=tuple(steps),
-        short_circuit=_bool(obj, "short_circuit", "trace"),
-        kernel_n=_int(kernel, "n", "trace.kernel"),
-        kernel_k=_int(kernel, "k", "trace.kernel"),
-        capacity_offset=_int(offsets, "capacity", "trace.offsets"),
-        dual_offset=_int(offsets, "dual", "trace.offsets"),
+        matching=None if obj["matching"] is None else _pairs(obj, "matching", "trace"),
     )
 
 
@@ -304,11 +300,5 @@ def crown_from_dict(obj: dict) -> CrownDecomposition:
         if len(set(ids)) != len(ids):
             raise FormatError(f"crown: {key!r} lists a vertex twice")
         parts.append(frozenset(ids))
-    witness = _list(obj, "witness", "crown")
-    for idx, edge in enumerate(witness):
-        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
-            raise FormatError(f"crown: 'witness'[{idx}] must be a pair of integer vertex ids")
     crown, head, body = parts
-    return CrownDecomposition(
-        crown=crown, head=head, body=body, witness=tuple(tuple(edge) for edge in witness)
-    )
+    return CrownDecomposition(crown, head, body, _pairs(obj, "witness", "crown"))

@@ -9,7 +9,8 @@ Two reduction rules shrink an instance (G, k):
   dual quantities by exactly |C|.
 
 Both rules are exact equalities, so a trace of the applied steps suffices to
-lift values computed on the reduced graph back to the input graph.
+lift values computed on the reduced graph back to the input graph.  A trace
+stores the input, the steps and their evidence, and derives the rest.
 """
 
 from __future__ import annotations
@@ -17,16 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Union
 
-from .crown import _crown_or_matching
+from .crown import _crown_or_matching, _crown_reason
 from .exact import _check_alphabet
 from .graph import (
+    Edge,
     Graph,
     K0,
     all_vertices,
     induced_subgraph,
     isolated_vertices,
     mask_of,
-    max_bipartite_matching,
+    matching_is_valid,
     members,
     neighborhood,
     vertex_mask,
@@ -54,17 +56,18 @@ class IsolatedRemoval:
 
 @dataclass(frozen=True)
 class CrownReduction:
-    """A crown step; all three sets are in input-graph coordinates."""
+    """A crown step in input-graph coordinates: the crown C, the head H and
+    an H-into-C matching as (head, crown) pairs.  The body R is every vertex
+    still live outside C and H."""
 
     crown: tuple[int, ...]
     head: tuple[int, ...]
-    body: tuple[int, ...]
+    witness: tuple[Edge, ...]
 
     kind = "crown"
 
     @property
     def removed(self) -> tuple[int, ...]:
-        """C and H; the body R stays."""
         return self.crown + self.head
 
 
@@ -73,16 +76,46 @@ ReductionStep = Union[IsolatedRemoval, CrownReduction]
 
 @dataclass(frozen=True)
 class ReductionTrace:
+    """The input (k is None in value mode), the steps with each crown's
+    H-into-C matching, and the k'-matching that ended a decision, if one
+    did; the kernel size, k' and the offsets are derived from them."""
+
     input_n: int
     input_m: int
-    input_k: int
+    input_k: int | None
     q: int | None
     steps: tuple[ReductionStep, ...]
-    short_circuit: bool
-    kernel_n: int
-    kernel_k: int
-    capacity_offset: int  # sum of |H| over crown steps
-    dual_offset: int  # sum of |C| over crown steps + number of removed isolated vertices
+    matching: tuple[Edge, ...] | None = None
+
+    @property
+    def capacity_offset(self) -> int:
+        """Sum of |H| over the crown steps."""
+        return sum(len(step.head) for step in self.steps if step.kind == "crown")
+
+    @property
+    def dual_offset(self) -> int:
+        """Sum of |C| over the crown steps plus the isolated vertices removed."""
+        return sum(len(step.removed) for step in self.steps) - self.capacity_offset
+
+    @property
+    def short_circuit(self) -> bool:
+        """The decision ended on a k'-matching."""
+        return self.matching is not None
+
+    @property
+    def decides_yes(self) -> bool:
+        """A k'-matching or a decision k' <= 0; the kernel is then the sentinel K0."""
+        k = self.input_k
+        return self.short_circuit or (k is not None and k <= self.capacity_offset)
+
+    @property
+    def kernel_k(self) -> int:
+        k = self.input_k
+        return 0 if k is None or self.decides_yes else k - self.capacity_offset
+
+    @property
+    def kernel_n(self) -> int:
+        return 0 if self.decides_yes else self.input_n - sum(len(s.removed) for s in self.steps)
 
 
 def live_subgraph(g: Graph, live: int) -> Graph:
@@ -98,68 +131,46 @@ def kernelize(g: Graph, k: int | None, q: int | None = None) -> tuple[Graph, int
     The loop follows the fixed step order: k-test, isolated removal, crown
     call, repeat.  It runs on a mask of the vertices still live in ``g``, so
     every step is recorded in input coordinates and only the kernel graph is
-    built.  A matching of size k short-circuits to the fixed YES instance
-    (K0, 0), flagged on the trace so value lifting can refuse it.
+    built.  A matching of size k' ends the loop with a YES: the trace records
+    it, and the kernel is the fixed YES instance (K0, 0), as it is when k'
+    reaches 0.
 
     ``k=None`` is value mode: each round asks for the largest k' with
     n >= 3k'-2, and a matching ends the loop without a YES (only the
     equality rules may feed the value ledger).  The residual graph is
-    returned with k' = 0 and recorded with input k = 0; q < 2 is refused.
+    returned with k' = 0; q < 2 is refused.
     """
     if q is not None:
         _check_alphabet(q)
     value_mode = k is None
     steps: list[ReductionStep] = []
-    capacity_offset = 0
-    dual_offset = 0
-    short_circuit = False
+    matching = None
     live = all_vertices(g)
-    input_k = kk = 0 if value_mode else k
+    kk = k
 
     while value_mode or kk > 0:
         removed = isolated_vertices(g, live)
         if removed:
-            step = IsolatedRemoval(tuple(sorted(removed)))
-            steps.append(step)
-            dual_offset += len(removed)
-            live &= ~mask_of(step.vertices)
+            steps.append(IsolatedRemoval(tuple(sorted(removed))))
+            live &= ~mask_of(removed)
         n = live.bit_count()
         target = (n + 2) // 3 if value_mode else kk
         if target < 1 or n < 3 * target - 2:
             break
         result = _crown_or_matching(g, target, live)
         if isinstance(result, list):  # a matching of size target
-            short_circuit = not value_mode
+            if not value_mode:
+                matching = tuple(result)
             break
-        step = CrownReduction(
-            crown=tuple(members(result.crown)),
-            head=tuple(members(result.head)),
-            body=tuple(members(result.body)),
-        )
-        steps.append(step)
-        capacity_offset += len(step.head)
-        dual_offset += len(step.crown)
+        head = members(result.head)
+        steps.append(CrownReduction(tuple(members(result.crown)), tuple(head), result.witness))
         live = result.body
         if not value_mode:
-            kk -= len(step.head)
+            kk -= len(head)
 
-    if short_circuit or (not value_mode and kk <= 0):
-        kernel, kk = K0, 0
-    else:
-        kernel = live_subgraph(g, live)
-    trace = ReductionTrace(
-        input_n=g.n,
-        input_m=g.m,
-        input_k=input_k,
-        q=q,
-        steps=tuple(steps),
-        short_circuit=short_circuit,
-        kernel_n=kernel.n,
-        kernel_k=kk,
-        capacity_offset=capacity_offset,
-        dual_offset=dual_offset,
-    )
-    return kernel, kk, trace
+    trace = ReductionTrace(g.n, g.m, k, q, tuple(steps), matching)
+    kernel = K0 if trace.decides_yes else live_subgraph(g, live)
+    return kernel, trace.kernel_k, trace
 
 
 def lift_value(trace: ReductionTrace, kernel_value: int, problem: Problem) -> int:
@@ -168,17 +179,14 @@ def lift_value(trace: ReductionTrace, kernel_value: int, problem: Problem) -> in
     For capacity the lifted quantity is the independence number of the
     confusion graph: alpha_input = alpha_kernel * q ** capacity_offset (the
     trace must carry q).  For index coding length and minrank the lift adds
-    the dual offset.  Short-circuited traces carry an inequality, not an
-    equality, and are refused, as are traces with q < 2 and traces whose
-    kernel is the sentinel K0 rather than the graph the steps leave (k used
-    up by the steps, or k <= 0).
+    the dual offset.  A trace that decides YES by itself has the sentinel K0
+    as its kernel, which carries an inequality, not an equality, and is
+    refused, as are traces with q < 2.
     """
     if trace.q is not None:
         _check_alphabet(trace.q)
-    if trace.short_circuit:
-        raise ValueError("cannot lift values through a short-circuited trace")
-    if trace.kernel_n != trace.input_n - sum(len(step.removed) for step in trace.steps):
-        raise ValueError("cannot lift values through a trace whose kernel is the sentinel K0")
+    if trace.decides_yes:
+        raise ValueError("cannot lift values through a YES trace: its kernel is the sentinel K0")
     if problem == CAPACITY:
         if trace.q is None:
             raise ValueError("capacity lifting needs the alphabet size q on the trace")
@@ -198,7 +206,7 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> Graph:
     """The graph left after the recorded steps remove their vertices from ``g``.
 
     The trace is verified first; a ValueError names the ``verify_trace``
-    reason.  For non-short-circuit traces the result is the kernel graph.
+    reason.  Unless the trace decides YES, the result is the kernel graph.
     """
     reason = verify_trace(g, trace)
     if reason is not None:
@@ -210,11 +218,12 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> Graph:
 def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
     """Check a trace against its input graph; None if consistent, else a reason.
 
-    Validates the input's n, m and q (q >= 2), step applicability (removed
-    vertices isolated, crown clauses hold with a full H-into-C matching), the
-    recorded offsets, and the kernel size/parameter bookkeeping: unless
-    short-circuited, k' = max(k - |H| summed over crown steps, 0).  Steps are
-    checked on a mask of the live vertices of ``g``; no intermediate graph is built.
+    Validates the input's n, m and q (q >= 2), then each step on a mask of
+    the live vertices of ``g``: removed vertices are isolated, and a crown
+    step passes the crown check with its witness (its reason gets the
+    prefix ``crown-step-``).  A recorded matching must come from a decision,
+    have live ends, and be a matching of exactly k' edges.  No intermediate
+    graph is built.
     """
     if trace.input_n != g.n:
         return "input-n-mismatch"
@@ -223,8 +232,6 @@ def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
     if trace.q is not None and trace.q < 2:
         return "input-q-below-2"
     live = all_vertices(g)
-    capacity_offset = 0
-    dual_offset = 0
     for step in trace.steps:
         if isinstance(step, IsolatedRemoval):
             removed = _step_mask(g, step.vertices, live)
@@ -234,44 +241,24 @@ def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
                 return "isolated-step-duplicate-vertex"
             if neighborhood(g, step.vertices) & live:
                 return "isolated-step-vertex-not-isolated"
-            dual_offset += len(step.vertices)
         else:
-            parts = (step.crown, step.head, step.body)
-            masks = [_step_mask(g, part, live) for part in parts]
-            if None in masks:
+            crown, head = _step_mask(g, step.crown, live), _step_mask(g, step.head, live)
+            if crown is None or head is None:
                 return "crown-step-unknown-vertex"
-            if any(mask.bit_count() != len(part) for mask, part in zip(masks, parts)):
+            if crown.bit_count() != len(step.crown) or head.bit_count() != len(step.head):
                 return "crown-step-duplicate-vertex"
-            crown, head, body = masks
-            if (
-                not crown
-                or not head
-                or crown | head | body != live
-                or crown.bit_count() + head.bit_count() + body.bit_count() != live.bit_count()
-            ):
-                return "crown-step-not-a-partition"
-            if neighborhood(g, step.crown) & (crown | body):
-                return "crown-step-separation-violated"
-            matching = max_bipartite_matching(g, head, crown)
-            if len(matching) != head.bit_count():
-                return "crown-step-no-head-matching"
-            capacity_offset += head.bit_count()
-            dual_offset += crown.bit_count()
+            reason = _crown_reason(g, crown, head, live & ~crown & ~head, live, step.witness)
+            if reason is not None:
+                return f"crown-step-{reason}"
             removed = crown | head
         live &= ~removed
-    if capacity_offset != trace.capacity_offset:
-        return "capacity-offset-mismatch"
-    if dual_offset != trace.dual_offset:
-        return "dual-offset-mismatch"
-    if trace.short_circuit:
-        if trace.kernel_n != 0 or trace.kernel_k != 0:
-            return "short-circuit-kernel-not-sentinel"
-        return None
-    live_n = live.bit_count()
-    if trace.kernel_n not in (live_n, 0):
-        return "kernel-n-mismatch"
-    if trace.kernel_n == 0 and live_n != 0 and trace.kernel_k != 0:
-        return "kernel-n-mismatch"
-    if trace.kernel_k != max(trace.input_k - trace.capacity_offset, 0):
-        return "kernel-k-mismatch"
+    if trace.matching is not None:
+        if trace.input_k is None:
+            return "matching-in-value-mode"
+        if _step_mask(g, [v for edge in trace.matching for v in edge], live) is None:
+            return "matching-vertex-not-live"
+        if not matching_is_valid(g, trace.matching):
+            return "matching-invalid"
+        if len(trace.matching) != trace.input_k - trace.capacity_offset:
+            return "matching-size-not-k"
     return None

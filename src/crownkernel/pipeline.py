@@ -78,7 +78,7 @@ def decide(
     CAPACITY: Capa_q(G) >= k iff alpha(Conf_q(G')) >= q**k'.
     INDEX_CODING: Ind_q(G) <= n-k iff Ind_q(G') <= n'-k'.
     MINRANK: minrank_GF(q)(G) <= n-k iff minrank_GF(q)(G') <= n'-k'; here q is
-    the prime field modulus.
+    the prime field modulus, not an alphabet size, so the trace records none.
 
     Since Capa_q(G') <= n' and Ind_q, minrank >= 0, the answer is YES when
     k' = 0 (the kernel is then the sentinel K0) and NO when k' > n'; only
@@ -89,7 +89,7 @@ def decide(
         raise ValueError(f"unknown problem {problem!r}")
     (_check_field if problem == MINRANK else _check_alphabet)(q)
     t0 = time.perf_counter()
-    kernel, kk, trace = kernelize(g, k, q=q)
+    kernel, kk, trace = kernelize(g, k, q=None if problem == MINRANK else q)
     t1 = time.perf_counter()
     conf_size = None
     if kk == 0 or kk > kernel.n:  # YES or NO with no solver

@@ -19,6 +19,7 @@ from crownkernel.exact import (
     matrix_represents,
 )
 from crownkernel.graph import Graph, Matching, all_vertices, bits, members
+from crownkernel.kernel import IsolatedRemoval, ReductionTrace
 
 
 def vector_of(index: int, n: int, q: int) -> tuple[int, ...]:
@@ -67,6 +68,35 @@ def build_confusion_graph_reference(g: Graph, q: int) -> Graph:
                     for v in bits(m):
                         adj[v] |= other
     return Graph._trusted(size, tuple(adj))
+
+
+def trace_to_dict_v1(trace: ReductionTrace) -> dict:
+    """The version-1 trace document, rebuilt from a version-2 trace's
+    properties: each crown step's body R recomputed in ascending order, a
+    value-mode k written as 0, and the version-1 key order.  The golden
+    digests of the version-1 bytes stay pinned through it."""
+    live = set(range(trace.input_n))
+    steps = []
+    for step in trace.steps:
+        live -= set(step.removed)
+        if isinstance(step, IsolatedRemoval):
+            steps.append({"kind": "isolated", "vertices": list(step.vertices)})
+        else:
+            steps.append(
+                {"kind": "crown", "H": list(step.head), "C": list(step.crown), "R": sorted(live)}
+            )
+    return {
+        "input": {
+            "n": trace.input_n,
+            "m": trace.input_m,
+            "k": 0 if trace.input_k is None else trace.input_k,
+            "q": trace.q,
+        },
+        "steps": steps,
+        "short_circuit": trace.short_circuit,
+        "kernel": {"n": trace.kernel_n, "k": trace.kernel_k},
+        "offsets": {"capacity": trace.capacity_offset, "dual": trace.dual_offset},
+    }
 
 
 def greedy_maximal_matching_reference(g: Graph, live: int | None = None) -> Matching:

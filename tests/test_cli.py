@@ -102,8 +102,14 @@ class TestFormats:
         assert str(info.value) == message
 
     def test_trace_round_trip(self):
-        _, _, trace = kernelize(star(6), 2, q=2)
-        assert trace_from_dict(trace_to_dict(trace)) == trace
+        # A crown step, a 1-matching, and value mode (no k, no matching).
+        for k, q in ((2, 2), (1, 3), (None, None)):
+            _, _, trace = kernelize(star(6), k, q=q)
+            doc = trace_to_dict(trace)
+            assert list(doc) == ["version", "input", "steps", "matching"]
+            assert (doc["input"]["k"], doc["input"]["q"]) == (k, q)
+            assert trace_from_dict(json.loads(json.dumps(doc))) == trace
+        assert doc["steps"][0] == {"kind": "crown", "H": [0], "C": [2, 3, 4, 5], "witness": [[0, 2]]}
 
     def test_trace_rejects_unknown_step_kind(self):
         _, _, trace = kernelize(star(6), 2, q=2)
@@ -219,7 +225,11 @@ class TestCliExitCodes:
 
 
 class TestParameters:
-    """k, q and p come from the flag, else the instance, else 2 (q and p)."""
+    """k, q and p come from the flag, else the instance, else 2 (q and p).
+
+    A trace records the alphabet size q; ``decide dmr`` has a field modulus
+    p and no alphabet, so its trace records null.
+    """
 
     @pytest.fixture
     def instance(self, tmp_path):
@@ -231,10 +241,10 @@ class TestParameters:
         "command, flags, q",
         [
             (["decide", "sc"], [], 3),
-            (["decide", "dmr"], [], 3),
+            (["decide", "dmr"], [], None),
             (["kernelize"], [], 3),
             (["decide", "sc"], ["--q", "2"], 2),
-            (["decide", "dmr"], ["--p", "2"], 2),
+            (["decide", "dmr"], ["--p", "2"], None),
             (["kernelize"], ["--q", "2"], 2),
         ],
     )
@@ -246,6 +256,16 @@ class TestParameters:
         else:
             trace = json.loads(open(out).read())["trace"]
         assert trace["input"]["q"] == q
+
+    def test_decide_dmr_records_no_alphabet_size(self, tmp_path):
+        # q = 3 and p = 2: the dmr trace must not record p as its alphabet size.
+        target = tmp_path / "edge.json"
+        target.write_text('{"n": 2, "adj": [[1], [0]], "k": 1, "q": 3, "p": 2}')
+        for problem, q in (("dmr", None), ("sc", 3)):
+            out = str(tmp_path / f"{problem}.json")
+            assert main(["decide", problem, str(target), "--out", out]) == 0
+            trace = json.loads(open(out).read())["trace"]
+            assert trace["input"]["q"] == q
 
     @pytest.mark.parametrize("flags, q, p", [([], 3, 3), (["--q", "2"], 2, 3), (["--p", "2"], 3, 2)])
     def test_solve(self, instance, capsys, flags, q, p):
@@ -272,7 +292,9 @@ class TestKernelizeCommand:
     def test_stdout_mode(self, star_file, capsys):
         assert main(["kernelize", star_file, "--k", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["trace"]["kernel"] == {"n": 0, "k": 1}
+        assert payload["kernel"] == {"n": 0, "k": 1}
+        assert payload["kernel_graph"] == {"n": 0, "adj": []}
+        assert trace_from_dict(payload["trace"]).kernel_k == 1
 
 
 class TestGenAndVerify:
@@ -331,7 +353,7 @@ class TestGenAndVerify:
         assert main(["verify", star_file, str(sidecar)]) == 2
         assert capsys.readouterr().err.strip() == f"error: {message}"
 
-    @pytest.mark.parametrize("index, key", [(0, "C"), (0, "H"), (0, "R"), (1, "vertices")])
+    @pytest.mark.parametrize("index, key", [(0, "C"), (0, "H"), (0, "witness"), (1, "vertices")])
     def test_trace_vertex_list_that_is_no_list_is_a_usage_error(
         self, star_file, tmp_path, capsys, index, key
     ):
@@ -352,14 +374,13 @@ class TestGenAndVerify:
         [
             (None, "steps", 5, "trace: 'steps' must be a list"),
             (None, "input", 5, "trace.input must be an object"),
-            (None, "kernel", 5, "trace.kernel must be an object"),
-            (None, "offsets", [], "trace.offsets must be an object"),
+            (None, "matching", 5, "trace: 'matching' must be a list"),
+            (None, "matching", [[0]], "trace: 'matching'[0] must be a pair of integer vertex ids"),
             ("input", "n", "6", "trace.input: 'n' must be an integer"),
             ("input", "k", True, "trace.input: 'k' must be an integer"),
             ("input", "q", 2.0, "trace.input: 'q' must be an integer"),
-            ("kernel", "k", None, "trace.kernel: 'k' must be an integer"),
-            ("offsets", "dual", 5.5, "trace.offsets: 'dual' must be an integer"),
-            (None, "short_circuit", "no", "trace: 'short_circuit' must be true or false"),
+            (None, "version", 1, "trace: 'version' must be 2, not 1"),
+            (None, "version", 2.0, "trace: 'version' must be 2, not 2.0"),
             (None, "answer", 1, "trace: 'answer' must be true or false"),
         ],
     )
@@ -399,16 +420,30 @@ class TestGenAndVerify:
         assert capsys.readouterr().out.strip() == "FAIL: input-q-below-2"
 
     def test_verify_rejects_a_forged_kernel_parameter(self, star_file, tmp_path, capsys):
-        prefix = str(tmp_path / "out")
-        main(["kernelize", star_file, "--k", "2", "--out", prefix])
-        trace_path = tmp_path / "out.trace.json"
-        obj = json.loads(trace_path.read_text())
-        assert obj["kernel"] == {"n": 0, "k": 1}
-        obj["kernel"]["k"] = 7
+        # The YES for k = 1 rests on a 1-matching, which is no evidence for k = 99.
+        report = tmp_path / "d.json"
+        assert main(["decide", "sc", star_file, "--k", "1", "--out", str(report)]) == 0
+        obj = json.loads(report.read_text())["trace"]
+        assert obj["input"]["k"] == 1 and len(obj["matching"]) == 1
+        obj["input"]["k"] = 99
+        trace_path = tmp_path / "forged.json"
         trace_path.write_text(json.dumps(obj))
         capsys.readouterr()
         assert main(["verify", star_file, str(trace_path)]) == 1
-        assert capsys.readouterr().out.strip() == "FAIL: kernel-k-mismatch"
+        assert capsys.readouterr().out.strip() == "FAIL: matching-size-not-k"
+
+    def test_verify_refuses_a_version_1_trace(self, star_file, tmp_path, capsys):
+        trace_path = tmp_path / "v1.json"
+        trace_path.write_text(json.dumps({
+            "input": {"n": 6, "m": 5, "k": 2, "q": 2},
+            "steps": [{"kind": "crown", "H": [0], "C": [2, 3, 4, 5], "R": [1]},
+                      {"kind": "isolated", "vertices": [1]}],
+            "short_circuit": False,
+            "kernel": {"n": 0, "k": 1},
+            "offsets": {"capacity": 1, "dual": 5},
+        }))
+        assert main(["verify", star_file, str(trace_path)]) == 2
+        assert capsys.readouterr().err.strip() == "error: trace: 'version' must be 2, not None"
 
     def test_crown_planted_requires_out(self):
         assert main(["gen", "crown-planted", "--c", "2", "--h", "1", "--r", "1"]) == 2
@@ -419,7 +454,8 @@ class TestGenAndVerify:
         trace_path = tmp_path / "out.trace.json"
         assert main(["verify", star_file, str(trace_path)]) == 0
         obj = json.loads(trace_path.read_text())
-        obj["kernel"]["n"] += 1
+        assert obj["steps"][0]["witness"] == [[0, 2]]
+        obj["steps"][0]["witness"] = [[0, 1]]  # 1 is the body, not the crown
         trace_path.write_text(json.dumps(obj))
         capsys.readouterr()
         assert main(["verify", star_file, str(trace_path)]) == 1

@@ -3,7 +3,10 @@ byte-identical across refactors of the graph and reduction layers.
 
 Each digest is the SHA-256 of a JSON document built from fixed-seed
 instances.  A mismatch means a generator drew different random numbers or a
-reduction visited vertices in a different order.
+reduction visited vertices in a different order.  Each trace is pinned
+twice: as the version-1 document rebuilt from its derived properties, whose
+digests predate version 2, and as the version-2 document ``trace_to_dict``
+writes.
 """
 
 import hashlib
@@ -15,6 +18,8 @@ import pytest
 from crownkernel import compute_values, kernelize
 from crownkernel.formats import trace_to_dict, write_dimacs
 from crownkernel.generators import gen_crown_planted, gen_gnp, generate
+
+from oracles import trace_to_dict_v1
 
 
 def digest(obj) -> str:
@@ -32,7 +37,7 @@ INSTANCES = {
 }
 
 # name -> (digest of the kernelize traces for k = -1 .. n//2 + 1 with q = 2,
-#          digest of the value-mode trace)
+#          digest of the value-mode trace), both as version-1 documents
 GOLDEN = {
     "planted-12-3-5": (
         "b7d39a6176c7c85c933f9de56dc21535ebe874910363fe21e597d7dd6803b61a",
@@ -64,26 +69,67 @@ GOLDEN = {
     ),
 }
 
+# The same digests of the version-2 documents.
+GOLDEN_V2 = {
+    "planted-12-3-5": (
+        "ad65a45ab29c4581d51491952927bc76c7b94ebbde86f95ec912ef7f76d582c5",
+        "12ff2fb1d64d0bef3953473b3bdcdfbb7320dd9a282a467ac6ec974edbd79d7e",
+    ),
+    "planted-40-4-5": (
+        "ab7867b177afe10c5a657ad448e01cd109e628e6b2ed880ce10fbcdc080e9968",
+        "cc80660e201b6145e2b49ef64198d4b8ae97246ee746cef6ab0c015b698b4441",
+    ),
+    "planted-9-2-4": (
+        "938628bd732f7ca04c257042eaa3e229faf556e86d907f69bd86f537b6d5daa9",
+        "9762176084b531221d7b1b6b350d5a6b9fd238c83208d938f7975e2664d9b287",
+    ),
+    "gnp-7-0.4": (
+        "59b731445c8385efcc806f2c174eb18be56799ea263f728526963b91a9b12b90",
+        "2e6c78b9b33ffd41ab39590022c6d6ccaf3acc94ee1de5be30520594982696a3",
+    ),
+    "gnp-30-0.1": (
+        "4036e43264e1d9bf835c9e13302b459e0aaac4bbfeefc67bc37e4168bb12aa99",
+        "497d9bda30302620dd364445e3e1a5b69a129f04075b814109be0f202a4456e9",
+    ),
+    "gnp-60-0.05": (
+        "28fc307a86120b817b6cac038eaf0cf01a6e015ff029cddda9965c7eec48b0db",
+        "9dcae52d01761bb6da2a30cd042b5fd7d577743166d1a26f11219b125ad99ce5",
+    ),
+    "gnp-200-0.01": (
+        "a1be35544bc2e90d9b948004d8e3b17c80f369d635b6d20c1638560b8771c918",
+        "bfc09ecaf8c87454f195e0928e658a1a580feedb242f6bb56728e34421a6b27f",
+    ),
+}
+
 # Residuals small enough for the exact solvers; the others are checked
 # through the value-mode reduction alone.
 SOLVABLE = {"planted-12-3-5", "planted-40-4-5", "planted-9-2-4", "gnp-7-0.4"}
 
 
+def kernelize_traces(name):
+    g = INSTANCES[name]()
+    return [kernelize(g, k, q=2)[2] for k in range(-1, g.n // 2 + 2)]
+
+
+def value_mode_trace(name):
+    g = INSTANCES[name]()
+    if name in SOLVABLE:
+        return compute_values(g).trace
+    return kernelize(g, None, 2)[2]
+
+
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_kernelize_traces_match_golden(name):
-    g = INSTANCES[name]()
-    traces = [trace_to_dict(kernelize(g, k, q=2)[2]) for k in range(-1, g.n // 2 + 2)]
-    assert digest(traces) == GOLDEN[name][0]
+    traces = kernelize_traces(name)
+    assert digest([trace_to_dict_v1(trace) for trace in traces]) == GOLDEN[name][0]
+    assert digest([trace_to_dict(trace) for trace in traces]) == GOLDEN_V2[name][0]
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_value_mode_trace_matches_golden(name):
-    g = INSTANCES[name]()
-    if name in SOLVABLE:
-        trace = compute_values(g).trace
-    else:
-        trace = kernelize(g, None, 2)[2]
-    assert digest(trace_to_dict(trace)) == GOLDEN[name][1]
+    trace = value_mode_trace(name)
+    assert digest(trace_to_dict_v1(trace)) == GOLDEN[name][1]
+    assert digest(trace_to_dict(trace)) == GOLDEN_V2[name][1]
 
 
 def test_crown_planted_hub_dimacs_matches_golden():

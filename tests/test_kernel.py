@@ -237,33 +237,54 @@ class TestRuleEqualities:
 
 
 def test_verify_trace_detects_tampering():
+    # K_{1,5}: the crown step ({2, 3, 4, 5}, {0}) leaves leaf 1 isolated.
     g = star(6)
     _, _, trace = kernelize(g, 2)
-    import dataclasses
+    crown_step, isolated = trace.steps
+    assert crown_step.witness == ((0, 2),) and isolated.vertices == (1,)
+    # The head matched to the body vertex 1 instead of a crown vertex.
+    forged = dataclasses.replace(crown_step, witness=((0, 1),))
+    bad = dataclasses.replace(trace, steps=(forged, isolated))
+    assert verify_trace(g, bad) == "crown-step-witness-not-a-matching-of-head-into-crown"
+    with pytest.raises(ValueError, match="crown-step-witness-not-a-matching-of-head-into-crown"):
+        replay_trace(g, bad)
+    # Leaf 1 is not isolated before the crown step removes the centre.
+    swapped = dataclasses.replace(trace, steps=(isolated, crown_step))
+    assert verify_trace(g, swapped) == "isolated-step-vertex-not-isolated"
 
-    bad = dataclasses.replace(trace, kernel_n=trace.kernel_n + 1)
-    assert verify_trace(g, bad) is not None
-    bad_offsets = dataclasses.replace(trace, dual_offset=trace.dual_offset + 1)
-    assert verify_trace(g, bad_offsets) is not None
-    with pytest.raises(ValueError, match="dual-offset-mismatch"):
-        replay_trace(g, bad_offsets)
+
+def test_kernel_size_and_parameter_are_derived_from_the_steps():
+    # Only isolated vertices go, so the kernel keeps 17 vertices and k' = 7;
+    # another input k gives another k', with the same kernel.
+    g, _ = gen_crown_planted(12, 3, 5, random.Random(1))
+    kernel, kk, trace = kernelize(g, 7)
+    assert (kernel.n, kk) == (17, 7) and verify_trace(g, trace) is None
+    assert (trace.kernel_n, trace.kernel_k, trace.dual_offset) == (17, 7, 3)
+    other = dataclasses.replace(trace, input_k=9)
+    assert (other.kernel_n, other.kernel_k) == (17, 9) and verify_trace(g, other) is None
 
 
 @pytest.mark.parametrize("forged", [1, 6, 8, 99])
 def test_verify_trace_rejects_a_forged_kernel_parameter(forged):
-    # Only isolated vertices go, so the kernel keeps 17 vertices and k' = 7.
-    g, _ = gen_crown_planted(12, 3, 5, random.Random(1))
-    kernel, kk, trace = kernelize(g, 7)
-    assert (kernel.n, kk) == (17, 7) and verify_trace(g, trace) is None
-    bad = dataclasses.replace(trace, kernel_k=forged)
-    assert verify_trace(g, bad) == "kernel-k-mismatch"
+    # k' is derived from the input k, and a YES through a matching holds
+    # only for the k' it has edges for: P12's 2-matching certifies k = 2,
+    # and no other k, although P12 has a matching of 6 edges.
+    g = path(12)
+    kernel, kk, trace = kernelize(g, 2, 2)
+    assert (kernel, kk) == (K0, 0) and trace.matching == ((0, 1), (2, 3))
+    assert trace.decides_yes and verify_trace(g, trace) is None
+    bad = dataclasses.replace(trace, input_k=forged)
+    assert verify_trace(g, bad) == "matching-size-not-k"
 
 
 def test_verify_trace_holds_value_mode_to_kernel_parameter_zero():
+    # Value mode records no k, so k' is 0, and it may not end on a matching.
     g = path(7)
     _, kk, trace = kernelize(g, None)
-    assert kk == 0 and verify_trace(g, trace) is None
-    assert verify_trace(g, dataclasses.replace(trace, kernel_k=1)) == "kernel-k-mismatch"
+    assert kk == trace.kernel_k == 0 and trace.input_k is None and trace.matching is None
+    assert verify_trace(g, trace) is None
+    forged = dataclasses.replace(trace, matching=((0, 1), (2, 3), (4, 5)))
+    assert verify_trace(g, forged) == "matching-in-value-mode"
 
 
 @pytest.mark.parametrize("q", [1, 0, -3])
@@ -281,25 +302,21 @@ def test_alphabet_size_below_2_is_refused(q):
 
 
 class TestVerifyTraceMalformedSteps:
-    def _trace(self, g, steps, capacity=0, dual=0):
-        return ReductionTrace(
-            input_n=g.n, input_m=g.m, input_k=1, q=2, steps=tuple(steps),
-            short_circuit=False, kernel_n=0, kernel_k=0,
-            capacity_offset=capacity, dual_offset=dual,
-        )
+    def _trace(self, g, steps):
+        return ReductionTrace(input_n=g.n, input_m=g.m, input_k=1, q=2, steps=tuple(steps))
 
     def test_overlapping_crown_step_is_not_a_partition(self):
         g = Graph.from_edges(2, [(0, 1)])
-        step = CrownReduction(crown=(0,), head=(0, 1), body=())
-        assert verify_trace(g, self._trace(g, [step], 2, 1)) == "crown-step-not-a-partition"
+        step = CrownReduction(crown=(0,), head=(0, 1), witness=((1, 0),))
+        assert verify_trace(g, self._trace(g, [step])) == "crown-step-not-a-partition"
 
     @pytest.mark.parametrize("bad", [-1, 2, 10**30, "0"])
     def test_unknown_vertex_ids(self, bad):
         g = Graph.from_edges(2, [(0, 1)])
-        crown = CrownReduction(crown=(bad,), head=(0,), body=(1,))
-        assert verify_trace(g, self._trace(g, [crown], 1, 1)) == "crown-step-unknown-vertex"
+        crown = CrownReduction(crown=(bad,), head=(0,), witness=((0, bad),))
+        assert verify_trace(g, self._trace(g, [crown])) == "crown-step-unknown-vertex"
         isolated = IsolatedRemoval((bad,))
-        assert verify_trace(g, self._trace(g, [isolated], 0, 1)) == "isolated-step-unknown-vertex"
+        assert verify_trace(g, self._trace(g, [isolated])) == "isolated-step-unknown-vertex"
         with pytest.raises(ValueError):
             replay_trace(g, self._trace(g, [isolated]))
 
@@ -307,43 +324,49 @@ class TestVerifyTraceMalformedSteps:
         # Path 0-1-2: vertex 2 has the live neighbor 1.
         g = path(3)
         steps = [IsolatedRemoval((2,))]
-        assert verify_trace(g, self._trace(g, steps, 0, 1)) == "isolated-step-vertex-not-isolated"
+        assert verify_trace(g, self._trace(g, steps)) == "isolated-step-vertex-not-isolated"
 
     def test_isolated_step_after_its_neighbors_are_gone(self):
         # Star 0-{1, 2} plus the edge 3-4: the crown step ({1, 2}, {0}) leaves
         # 1 and 2 removed, so none of 3, 4 is isolated yet.
         g = Graph.from_edges(5, [(0, 1), (0, 2), (3, 4)])
-        steps = [CrownReduction(crown=(1, 2), head=(0,), body=(3, 4)), IsolatedRemoval((3,))]
-        assert verify_trace(g, self._trace(g, steps, 1, 3)) == "isolated-step-vertex-not-isolated"
-        steps = [CrownReduction(crown=(1, 2), head=(0,), body=(3, 4))]
-        assert verify_trace(g, self._trace(g, steps, 1, 2)) is None
+        crown = CrownReduction(crown=(1, 2), head=(0,), witness=((0, 1),))
+        steps = [crown, IsolatedRemoval((3,))]
+        assert verify_trace(g, self._trace(g, steps)) == "isolated-step-vertex-not-isolated"
+        assert verify_trace(g, self._trace(g, [crown])) is None
 
     def test_crown_step_with_a_crown_body_edge(self):
         # Star 0-{1, 2, 3} plus the edge 3-4: crown vertex 3 touches body vertex 4.
         g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
-        step = CrownReduction(crown=(1, 2, 3), head=(0,), body=(4,))
-        assert verify_trace(g, self._trace(g, [step], 1, 3)) == "crown-step-separation-violated"
+        step = CrownReduction(crown=(1, 2, 3), head=(0,), witness=((0, 1),))
+        assert verify_trace(g, self._trace(g, [step])) == "crown-step-crown-body-edge"
 
     def test_crown_step_with_a_crown_crown_edge(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-        step = CrownReduction(crown=(1, 2), head=(0,), body=(3,))
-        assert verify_trace(g, self._trace(g, [step], 1, 2)) == "crown-step-separation-violated"
+        step = CrownReduction(crown=(1, 2), head=(0,), witness=((0, 1),))
+        assert verify_trace(g, self._trace(g, [step])) == "crown-step-crown-not-independent"
 
     def test_crown_step_whose_head_cannot_be_matched(self):
-        # Heads 0 and 1 both see only crown vertex 2.
+        # Heads 0 and 1 both see only crown vertex 2, so no witness matches
+        # both into the crown.
         g = Graph.from_edges(4, [(0, 2), (1, 2), (0, 3), (1, 3)])
-        step = CrownReduction(crown=(2,), head=(0, 1), body=(3,))
-        assert verify_trace(g, self._trace(g, [step], 2, 1)) == "crown-step-no-head-matching"
+        for witness, reason in [
+            (((0, 2), (1, 2)), "witness-not-a-matching-of-head-into-crown"),
+            (((0, 2), (1, 3)), "witness-not-a-matching-of-head-into-crown"),
+            (((0, 2),), "witness-size"),
+        ]:
+            step = CrownReduction(crown=(2,), head=(0, 1), witness=witness)
+            assert verify_trace(g, self._trace(g, [step])) == "crown-step-" + reason
 
     def test_removed_vertex_is_unknown_to_later_steps(self):
         g = empty(2)
         steps = [IsolatedRemoval((0, 1)), IsolatedRemoval((1,))]
-        assert verify_trace(g, self._trace(g, steps, 0, 3)) == "isolated-step-unknown-vertex"
+        assert verify_trace(g, self._trace(g, steps)) == "isolated-step-unknown-vertex"
 
     def test_duplicate_isolated_vertex_cannot_inflate_the_dual_offset(self):
         g = empty(2)
         steps = [IsolatedRemoval((0, 0, 1))]
-        assert verify_trace(g, self._trace(g, steps, 0, 3)) == "isolated-step-duplicate-vertex"
+        assert verify_trace(g, self._trace(g, steps)) == "isolated-step-duplicate-vertex"
 
     def test_duplicate_crown_vertex_is_rejected(self):
         # K_{1,5} (centre 0) plus the edge 6-7; a crown vertex listed twice
@@ -351,10 +374,46 @@ class TestVerifyTraceMalformedSteps:
         g = Graph.from_edges(8, [(0, v) for v in range(1, 6)] + [(6, 7)])
         _, _, trace = kernelize(g, None, 2)
         step = trace.steps[0]
-        assert step == CrownReduction(crown=(2, 3, 4, 5), head=(0,), body=(1, 6, 7))
+        assert step == CrownReduction(crown=(2, 3, 4, 5), head=(0,), witness=((0, 2),))
         forged = dataclasses.replace(step, crown=step.crown + (2,))
         bad = dataclasses.replace(trace, steps=(forged,) + trace.steps[1:])
         assert verify_trace(g, bad) == "crown-step-duplicate-vertex"
+
+
+class TestVerifyTraceMatching:
+    """The k'-matching that ends a decision is the evidence for its YES."""
+
+    def test_matching_ends_must_be_live_after_the_steps(self):
+        # K_{1,5} plus the edge 6-7: the crown step removes {0, 2, 3, 4, 5}
+        # and leaves k' = 1, which the edge 6-7 meets.
+        g = Graph.from_edges(8, [(0, v) for v in range(1, 6)] + [(6, 7)])
+        crown = CrownReduction(crown=(2, 3, 4, 5), head=(0,), witness=((0, 2),))
+        trace = ReductionTrace(g.n, g.m, 2, 2, (crown, IsolatedRemoval((1,))), ((6, 7),))
+        assert trace.decides_yes and verify_trace(g, trace) is None
+        moved = dataclasses.replace(trace, matching=((0, 1),))
+        assert verify_trace(g, moved) == "matching-vertex-not-live"
+        unknown = dataclasses.replace(trace, matching=((6, 8),))
+        assert verify_trace(g, unknown) == "matching-vertex-not-live"
+
+    @pytest.mark.parametrize("matching", [((0, 2), (3, 4)), ((1, 2), (2, 3)), ((0, 1), (0, 1))])
+    def test_matching_must_be_a_matching_of_the_graph(self, matching):
+        # P6: 0-2 is no edge, and the other two reuse a vertex.
+        g = path(6)
+        _, _, trace = kernelize(g, 2, 2)
+        assert trace.matching == ((0, 1), (2, 3)) and verify_trace(g, trace) is None
+        bad = dataclasses.replace(trace, matching=matching)
+        assert verify_trace(g, bad) == "matching-invalid"
+
+    def test_crown_steps_that_use_up_k_decide_yes(self):
+        # K_{1,5} with k = 1: the crown step ({1, .., 5}, {0}) takes |H| = 1,
+        # so k' = 0 with no matching, and the trace's kernel is the sentinel K0.
+        g = star(6)
+        crown = CrownReduction(crown=(1, 2, 3, 4, 5), head=(0,), witness=((0, 1),))
+        trace = ReductionTrace(g.n, g.m, 1, 2, (crown,))
+        assert verify_trace(g, trace) is None and trace.decides_yes
+        assert (trace.kernel_n, trace.kernel_k, trace.capacity_offset) == (0, 0, 1)
+        with pytest.raises(ValueError, match="sentinel"):
+            lift_value(trace, 1, CAPACITY)
 
 
 class TestLiveMaskReduction:
@@ -373,7 +432,7 @@ class TestLiveMaskReduction:
         g = Graph.from_edges(10, edges)
         kernel, kk, trace = kernelize(g, 4)
         assert trace.steps == (
-            CrownReduction(crown=(2, 3, 4, 5), head=(0,), body=(1, 6, 7, 8, 9)),
+            CrownReduction(crown=(2, 3, 4, 5), head=(0,), witness=((0, 2),)),
             IsolatedRemoval((1,)),
         )
         assert kernel == complete(4) and kk == 3

@@ -16,6 +16,7 @@ from crownkernel import (
     decide_dual_index_coding,
     decide_dual_minrank,
     decide_storage_capacity,
+    lift_value,
 )
 from crownkernel.exact import (
     build_confusion_graph,
@@ -70,6 +71,17 @@ class TestDecide:
         assert report.kernel_n == report.trace.kernel_n
         assert report.kernel_k == report.trace.kernel_k
         assert "kernelize_s" in report.timings and "solve_s" in report.timings
+
+    def test_minrank_trace_carries_no_alphabet_size(self):
+        # K4 with k = 3 is its own kernel; p is a field modulus, so the trace
+        # records no q, and a capacity lift through it is refused.
+        for p in (2, 3):
+            trace = decide_dual_minrank(complete(4), 3, p).trace
+            assert trace.q is None and (trace.kernel_n, trace.kernel_k) == (4, 3)
+            assert lift_value(trace, 2, MINRANK) == 2
+            with pytest.raises(ValueError, match="capacity lifting needs the alphabet size q"):
+                lift_value(trace, 1, CAPACITY)
+        assert decide_storage_capacity(complete(4), 3, 3).trace.q == 3
 
     def test_short_circuit_sets_yes(self):
         g = complete(40)  # matching of size 13 >= any small k
