@@ -24,7 +24,7 @@ from .formats import (
 )
 from .generators import FAMILIES, generate
 from .graph import GraphError
-from .kernel import CAPACITY, INDEX_CODING, MINRANK, kernelize, verify_trace
+from .kernel import CAPACITY, INDEX_CODING, MINRANK, ReductionTrace, kernelize, verify_trace
 from .pipeline import DecisionReport, compute_values, decide
 
 EXIT_OK = 0
@@ -152,6 +152,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _answer_reason(trace: ReductionTrace, answer: bool | None) -> str | None:
+    """``answer-contradicts-trace`` when a verified trace decides the answer
+    by itself and the recorded ``answer`` says otherwise: YES on a
+    k'-matching or k' <= 0, NO on k' > n'.  An answer the exact solver gave
+    on the kernel carries no certificate and is not checked."""
+    decided = trace.decides_yes or trace.kernel_k > trace.kernel_n
+    if answer is None or not decided or answer == trace.decides_yes:
+        return None
+    return "answer-contradicts-trace"
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     graph, _ = load_instance(args.input, args.format)
     with open(args.artifact, "r", encoding="utf-8") as handle:
@@ -161,7 +172,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise FormatError(f"invalid JSON: {exc}") from exc
     if isinstance(obj, dict) and "steps" in obj:
         trace = trace_from_dict(obj)
-        reason = verify_trace(graph, trace)
+        reason = verify_trace(graph, trace) or _answer_reason(trace, obj.get("answer"))
     else:
         dec = crown_from_dict(obj)
         reason = check_crown(graph, dec)

@@ -10,7 +10,7 @@ may not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Collection, NamedTuple, Union
 
 from .graph import (
     Graph,
@@ -59,11 +59,12 @@ def check_crown(g: Graph, dec: CrownDecomposition, live: int | None = None) -> s
     if live is None:
         live = all_vertices(g)
     crown, head, body = (vertex_mask(g, part) for part in (dec.crown, dec.head, dec.body))
-    return _crown_reason(g, crown, head, body, live, dec.witness)
+    return _crown_reason(g, dec.crown, crown, head, body, live, dec.witness)
 
 
 def _crown_reason(
     g: Graph,
+    crown_ids: Collection[int],
     crown: int | None,
     head: int | None,
     body: int | None,
@@ -72,7 +73,12 @@ def _crown_reason(
 ) -> str | None:
     """``check_crown`` on the three parts as vertex masks; a part is None
     when it names an id that is not a vertex of ``g``.  The one crown check:
-    crown files, built crowns and trace steps all go through it."""
+    crown files, built crowns and trace steps all go through it.
+
+    ``crown_ids`` lists the ids of ``crown`` once each, in any order; the
+    caller already holds that list.  The offender a reason names is found on
+    the mask, so the order of the list cannot change the reason.
+    """
     if crown == 0:
         return "empty-crown"
     if head == 0:
@@ -86,9 +92,8 @@ def _crown_reason(
     ):
         return "not-a-partition"
 
-    crown_ids = members(crown)
     if neighborhood(g, crown_ids) & (crown | body):
-        for v in crown_ids:
+        for v in members(crown):
             if g.adj[v] & crown:
                 return "crown-not-independent"
             if g.adj[v] & body:
@@ -111,12 +116,14 @@ def _crown_reason(
 
 
 class _CrownMasks(NamedTuple):
-    """A crown decomposition as vertex masks, with its H-into-C witness."""
+    """A crown decomposition as vertex masks, with its H-into-C witness and
+    the crown's ids in ascending order."""
 
     crown: int
     head: int
     body: int
     witness: tuple[tuple[int, int], ...]
+    crown_ids: tuple[int, ...]
 
 
 def find_crown_or_matching(
@@ -146,7 +153,7 @@ def find_crown_or_matching(
     if isinstance(result, list):
         return result
     return CrownDecomposition(
-        crown=frozenset(members(result.crown)),
+        crown=frozenset(result.crown_ids),
         head=frozenset(members(result.head)),
         body=frozenset(members(result.body)),
         witness=result.witness,
@@ -176,7 +183,8 @@ def _crown_or_matching(g: Graph, k: int, live: int) -> Union[Matching, _CrownMas
         )
     body = live & ~head & ~crown
     witness = tuple(sorted((a, b) for a, b in cross if (head >> a) & 1))
-    reason = _crown_reason(g, crown, head, body, live, witness)
+    crown_ids = tuple(members(crown))
+    reason = _crown_reason(g, crown_ids, crown, head, body, live, witness)
     if reason is not None:
         raise CrownConstructionError(f"constructed crown failed verification: {reason}")
-    return _CrownMasks(crown, head, body, witness)
+    return _CrownMasks(crown, head, body, witness, crown_ids)

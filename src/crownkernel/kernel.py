@@ -24,9 +24,10 @@ from .graph import (
     Edge,
     Graph,
     K0,
+    _isolated_ids,
+    _mask_upto,
     all_vertices,
     induced_subgraph,
-    isolated_vertices,
     mask_of,
     matching_is_valid,
     members,
@@ -149,10 +150,10 @@ def kernelize(g: Graph, k: int | None, q: int | None = None) -> tuple[Graph, int
     kk = k
 
     while value_mode or kk > 0:
-        removed = isolated_vertices(g, live)
+        removed = _isolated_ids(g, live)
         if removed:
-            steps.append(IsolatedRemoval(tuple(sorted(removed))))
-            live &= ~mask_of(removed)
+            steps.append(IsolatedRemoval(tuple(removed)))
+            live &= ~_mask_upto(removed, removed[-1])
         n = live.bit_count()
         target = (n + 2) // 3 if value_mode else kk
         if target < 1 or n < 3 * target - 2:
@@ -163,7 +164,7 @@ def kernelize(g: Graph, k: int | None, q: int | None = None) -> tuple[Graph, int
                 matching = tuple(result)
             break
         head = members(result.head)
-        steps.append(CrownReduction(tuple(members(result.crown)), tuple(head), result.witness))
+        steps.append(CrownReduction(result.crown_ids, tuple(head), result.witness))
         live = result.body
         if not value_mode:
             kk -= len(head)
@@ -247,7 +248,8 @@ def verify_trace(g: Graph, trace: ReductionTrace) -> str | None:
                 return "crown-step-unknown-vertex"
             if crown.bit_count() != len(step.crown) or head.bit_count() != len(step.head):
                 return "crown-step-duplicate-vertex"
-            reason = _crown_reason(g, crown, head, live & ~crown & ~head, live, step.witness)
+            body = live & ~crown & ~head
+            reason = _crown_reason(g, step.crown, crown, head, body, live, step.witness)
             if reason is not None:
                 return f"crown-step-{reason}"
             removed = crown | head

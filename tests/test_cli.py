@@ -432,6 +432,37 @@ class TestGenAndVerify:
         assert main(["verify", star_file, str(trace_path)]) == 1
         assert capsys.readouterr().out.strip() == "FAIL: matching-size-not-k"
 
+    @pytest.mark.parametrize("k, answer", [(1, True), (2, False)])
+    def test_verify_rejects_an_answer_the_trace_contradicts(self, star_file, tmp_path, capsys, k, answer):
+        # At k = 1 a 1-matching decides YES; at k = 2 the crown step leaves
+        # k' = 1 > n' = 0, which decides NO.
+        report = tmp_path / "d.json"
+        main(["decide", "sc", star_file, "--k", str(k), "--out", str(report)])
+        obj = json.loads(report.read_text())["trace"]
+        assert obj["answer"] is answer
+        trace_path = tmp_path / "t.json"
+        trace_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", star_file, str(trace_path)]) == 0
+        assert capsys.readouterr().out.strip() == "OK"
+        obj["answer"] = not answer
+        trace_path.write_text(json.dumps(obj))
+        assert main(["verify", star_file, str(trace_path)]) == 1
+        assert capsys.readouterr().out.strip() == "FAIL: answer-contradicts-trace"
+
+    def test_verify_leaves_a_solver_answer_unchecked(self, star_file, tmp_path, capsys):
+        # At k = 3 the star is already a kernel with k' <= n', so its answer
+        # comes from the exact solver, which the trace does not certify.
+        report = tmp_path / "d.json"
+        main(["decide", "sc", star_file, "--k", "3", "--out", str(report)])
+        obj = json.loads(report.read_text())["trace"]
+        assert obj["steps"] == [] and obj["matching"] is None
+        obj["answer"] = not obj["answer"]
+        trace_path = tmp_path / "t.json"
+        trace_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", star_file, str(trace_path)]) == 0
+
     def test_verify_refuses_a_version_1_trace(self, star_file, tmp_path, capsys):
         trace_path = tmp_path / "v1.json"
         trace_path.write_text(json.dumps({

@@ -336,6 +336,17 @@ def test_members_of_full_mask():
 CUT = _DIGIT_STRING_MIN_IDS
 
 
+def _random_ids(length, density):
+    """Ascending ids below ``length``, each kept with probability ``density``;
+    ``length - 1`` is always kept, so the mask is ``length`` bits long."""
+    rng = random.Random(length * 1000 + round(density * 1000))
+    return [v for v in range(length - 1) if rng.random() < density] + [length - 1]
+
+
+# members reads a mask with more than one bit in eight set by ``compress`` and
+# a sparser one by ``str.find``; the lists below cover both regimes, the
+# boundary between them (100 ids of an 800-bit mask are sparse, 101 dense),
+# single runs, all-ones masks and one high bit.
 @pytest.mark.parametrize(
     "vertices",
     [
@@ -350,13 +361,23 @@ CUT = _DIGIT_STRING_MIN_IDS
         list(range(0, 800, 8)),
         list(range(0, 900, 9)),
         list(range(8001, 8006)),
+        [19_999],
+        list(range(20_000)),
+        list(range(3000, 9000)),
+        list(range(7, 799, 8)) + [799],
+        list(range(7, 799, 8)) + [798, 799],
+        *(
+            _random_ids(length, density)
+            for length in (1, 9, 64, 1000, 20_000)
+            for density in (0.001, 0.01, 0.1, 0.124, 0.126, 0.5, 0.99, 1.0)
+        ),
     ],
 )
 def test_mask_of_and_members_round_trip(vertices):
     mask = sum(1 << v for v in vertices)
     shuffled = random.Random(len(vertices)).sample(vertices, len(vertices))
     assert mask_of(vertices) == mask_of(shuffled + vertices[:3]) == mask_of(iter(vertices)) == mask
-    assert members(mask) == vertices
+    assert members(mask) == vertices == list(bits(mask))
 
 
 @pytest.mark.parametrize("size", [1, CUT - 1, CUT, CUT + 8])

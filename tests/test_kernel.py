@@ -346,6 +346,15 @@ class TestVerifyTraceMalformedSteps:
         step = CrownReduction(crown=(1, 2), head=(0,), witness=((0, 1),))
         assert verify_trace(g, self._trace(g, [step])) == "crown-step-crown-not-independent"
 
+    @pytest.mark.parametrize("order", [(1, 2, 3, 4), (4, 3, 2, 1), (3, 1, 4, 2), (4, 1, 3, 2)])
+    def test_crown_step_names_the_lowest_offender_in_any_order(self, order):
+        # Star 0-{1, 2, 3, 4} plus the edges 2-5 and 3-4: crown vertex 2
+        # touches body vertex 5, and crown vertices 3 and 4 touch each other.
+        # The lowest offender, 2, names the reason whatever the list's order.
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 5), (3, 4)])
+        step = CrownReduction(crown=order, head=(0,), witness=((0, 1),))
+        assert verify_trace(g, self._trace(g, [step])) == "crown-step-crown-body-edge"
+
     def test_crown_step_whose_head_cannot_be_matched(self):
         # Heads 0 and 1 both see only crown vertex 2, so no witness matches
         # both into the crown.
